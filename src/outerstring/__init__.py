@@ -11,8 +11,8 @@ from .geom import (CurveFamily, CurvePoint, GroundedCurve, Subcurve, curve,
                    curve_intersections, curves_intersect, dump_family,
                    dumps_family, exterior_membership, first_hit, load_family,
                    loads_family, pt, subcurves_intersect, validate_family)
-from .graph import (IntersectionGraph, between, chromatic_number,
-                    clique_number, intersection_graph, piercer_cover_coloring)
+from .graph import (IntersectionGraph, chromatic_number, clique_number,
+                    intersection_graph, piercer_cover_coloring)
 from .structures import (Bracket, CliqueAnchors, CliqueSystem, Signature,
                          Skeleton, build_bracket, check_signature_betweenness,
                          clique_anchors, crosses_system, extract_clique,

@@ -20,7 +20,7 @@ from .extract import (BoundParams, attempt_bracket_system,
                       attempt_clique_system, bfs_supported,
                       find_skeleton_supported, mcguinness)
 from .gen import GenSpec, generate
-from .geom import dump_family, find_violations, loads_family
+from .geom import curves_from_dict, dump_family, find_violations, loads_family
 from .graph import chromatic_number, clique_number, intersection_graph
 from .structures import skeleton_to_dict
 from .svg import render_family
@@ -30,43 +30,33 @@ def _emit(data) -> None:
     sys.stdout.write(json.dumps(data, indent=1, sort_keys=False) + "\n")
 
 
-def _load(path):
+def _parse(path, parse):
+    """``parse`` applied to the text of the file at ``path``.  Every way the
+    file can fail ends the command with exit 1 and one line on stderr."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"cannot read {path}: {exc}\n")
         raise SystemExit(1)
     try:
-        return loads_family(text)
+        return parse(text)
     except json.JSONDecodeError as exc:
         sys.stderr.write(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}\n")
-        raise SystemExit(1)
+    except ValueError as exc:
+        sys.stderr.write(f"{path}: bad family structure: {exc}\n")
     except FamilyValidationError as exc:
         sys.stderr.write(f"{path}: invalid family: {exc}\n")
-        raise SystemExit(1)
+    raise SystemExit(1)
+
+
+def _load(path):
+    return _parse(path, loads_family)
 
 
 def _cmd_validate(args) -> int:
-    with open(args.family, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            sys.stderr.write(
-                f"{args.family}: malformed JSON at line {exc.lineno}, "
-                f"column {exc.colno}: {exc.msg}\n")
-            return 1
-    from .geom import GroundedCurve
-    from .geom.io import _coord_from_json
-    try:
-        curves = [GroundedCurve(e["id"],
-                                tuple((_coord_from_json(x), _coord_from_json(y))
-                                      for x, y in e["vertices"]))
-                  for e in data["curves"]]
-    except (KeyError, ValueError, TypeError) as exc:
-        sys.stderr.write(f"{args.family}: bad family structure: {exc}\n")
-        return 1
+    curves = _parse(args.family, lambda text: curves_from_dict(json.loads(text)))
     violations = find_violations(curves)
     _emit({"valid": not violations,
            "violations": [{"kind": v.kind, "curves": list(v.curves), "detail": v.detail}

@@ -20,7 +20,7 @@ from ..graph import ChiCache, _greedy_coloring
 from ..structures import (CONTAINED, CROSSES_BOUNDARY, Skeleton, bracket_to_dict,
                           build_bracket, extract_clique, interior_classify,
                           is_supported, validate_bracket_system)
-from .core import bfs_supported, intersecting_gap_pair
+from .core import _components, bfs_supported, intersecting_gap_pair
 from .report import BoundParams, ExtractionReport, StepFailure, StepRecord
 
 
@@ -198,7 +198,7 @@ def _bracket_level(F, chain, i, u, v, G_next, params, betas, cache, report):
 
     # Connected subfamily achieving the maximum, then the claim that every
     # support basepoint clears it on the chosen side.
-    comps = _id_components(side, cache, F)
+    comps = _components(cache.graph.subgraph(side))
     C = max(comps, key=lambda c: (cache.chi(c), -F.index(c[0])))
     C = sorted(C, key=F.index)
     base_lo = min(F[p].base_x for p in C)
@@ -252,21 +252,3 @@ def _bracket_level(F, chain, i, u, v, G_next, params, betas, cache, report):
                           measured=chi_Gi, threshold=betas[i])
     return G_i, bracket
 
-
-def _id_components(ids, cache, F):
-    graph = cache.graph.subgraph(ids)
-    seen, comps = set(), []
-    for vtx in graph.ids:
-        if vtx in seen:
-            continue
-        comp, stack = [], [vtx]
-        seen.add(vtx)
-        while stack:
-            a = stack.pop()
-            comp.append(a)
-            for b in sorted(graph.adj[a]):
-                if b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-        comps.append(sorted(comp, key=F.index))
-    return comps

@@ -18,6 +18,8 @@ from .report import ExtractionReport, StepRecord
 
 
 def _components(graph):
+    """Connected components of the graph, each listed in graph order."""
+    order = {v: i for i, v in enumerate(graph.ids)}
     seen, comps = set(), []
     for v in graph.ids:
         if v in seen:
@@ -31,7 +33,7 @@ def _components(graph):
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        comps.append(sorted(comp, key=graph.ids.index))
+        comps.append(sorted(comp, key=order.get))
     return comps
 
 

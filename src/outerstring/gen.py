@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .errors import GenerationFailure
-from .geom import (CurveFamily, GroundedCurve, family_from_dict, find_violations,
-                   validate_family)
+from .errors import FamilyValidationError, GenerationFailure
+from .geom import CurveFamily, GroundedCurve, family_from_dict, validate_family
 
 
 @dataclass(frozen=True)
@@ -57,9 +56,10 @@ def _perturber(seed: int, n: int):
 def _settle(raw_builder, n: int) -> CurveFamily:
     """Retry the builder with fresh perturbations until validation passes."""
     for attempt in range(_MAX_ROUNDS):
-        curves = raw_builder(attempt)
-        if not find_violations(curves):
-            return validate_family(curves)
+        try:
+            return validate_family(raw_builder(attempt))
+        except FamilyValidationError:
+            pass
     raise GenerationFailure(f"no valid configuration within {_MAX_ROUNDS} rounds")
 
 

@@ -7,8 +7,8 @@ from .curveops import (curve_intersections, curves_intersect, first_hit,
                        hits_against, piece_representatives, split_points_on,
                        subcurves_intersect)
 from .exterior import FreeSpace, exterior_membership
-from .io import (dump_family, dumps_family, family_from_dict, family_to_dict,
-                 load_family, loads_family)
+from .io import (curves_from_dict, dump_family, dumps_family, family_from_dict,
+                 family_to_dict, load_family, loads_family)
 from .region import JordanRegion
 from .segments import classify_intersection, on_segment, orient
 from .validate import Violation, check_pair, find_violations, validate_family
@@ -24,5 +24,5 @@ __all__ = [
     "validate_family", "find_violations", "check_pair",
     "classify_intersection", "on_segment", "orient",
     "load_family", "loads_family", "dump_family", "dumps_family",
-    "family_from_dict", "family_to_dict",
+    "curves_from_dict", "family_from_dict", "family_to_dict",
 ]

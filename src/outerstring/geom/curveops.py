@@ -9,23 +9,45 @@ polyline vertices.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
+from ..errors import InternalContradiction
 from .curves import (CurvePoint, GroundedCurve, Subcurve, curve_point)
-from .segments import PROPER, classify_intersection
+from .segments import NONE, PROPER, classify_intersection
 
 
-@lru_cache(maxsize=None)
-def _pair_intersections(c1: GroundedCurve, c2: GroundedCurve):
-    hits = []
+def _segment_pass(c1: GroundedCurve, c2: GroundedCurve):
+    crossings, contacts = [], []
     for i, (a, b) in enumerate(c1.segments()):
         for j, (c, d) in enumerate(c2.segments()):
             kind, data = classify_intersection(a, b, c, d)
             if kind == PROPER:
-                t1, t2 = data
-                hits.append((curve_point(c1, i, t1), curve_point(c2, j, t2)))
-    hits.sort(key=lambda h: (h[0].segment, h[0].t))
-    return tuple(hits)
+                crossings.append((curve_point(c1, i, data[0]), curve_point(c2, j, data[1])))
+            elif kind != NONE:
+                contacts.append((i, j, kind, data))
+    return crossings, contacts
+
+
+def pair_contacts(c1: GroundedCurve, c2: GroundedCurve):
+    """Proper crossings ``(point on c1, point on c2)`` sorted along c1, and
+    the overlaps and touches ``(segment of c1, segment of c2, kind, touch
+    point)`` in segment-pair order, from one pass over the segment pairs.
+
+    Memoized on c1 by c2.  The pass of (c2, c1) is reused reversed, unless a
+    segment has zero length: classify_intersection is not symmetric there.
+    """
+    found = c1._contacts.get(c2)
+    if found is None:
+        back = c2._contacts.get(c1)
+        if back is not None and all(a != b for c in (c1, c2) for a, b in c.segments()):
+            crossings = [(q, p) for p, q in back[0]]
+            contacts = sorted(((j, i, kind, data) for i, j, kind, data in back[1]),
+                              key=lambda k: k[:2])
+        else:
+            crossings, contacts = _segment_pass(c1, c2)
+        # Stable, so crossings at one position stay in segment-pair order.
+        crossings.sort(key=lambda h: (h[0].segment, h[0].t))
+        found = c1._contacts[c2] = (tuple(crossings), tuple(contacts))
+    return found
 
 
 def curve_intersections(c1: GroundedCurve, c2: GroundedCurve):
@@ -35,11 +57,11 @@ def curve_intersections(c1: GroundedCurve, c2: GroundedCurve):
     """
     if c1.id == c2.id:
         raise ValueError("curve_intersections requires two distinct curves")
-    return _pair_intersections(c1, c2)
+    return pair_contacts(c1, c2)[0]
 
 
 def curves_intersect(c1: GroundedCurve, c2: GroundedCurve) -> bool:
-    return bool(_pair_intersections(c1, c2))
+    return bool(pair_contacts(c1, c2)[0])
 
 
 def _obstacle_parts(obstacle):
@@ -81,7 +103,7 @@ def first_hit(c: GroundedCurve, obstacles, resolve=None):
             if best is None or hit[0] < best[0]:
                 best = hit
             elif hit[0] == best[0] and hit[1] != best[1]:
-                raise AssertionError(
+                raise InternalContradiction(
                     f"tie in first_hit at {hit[0].point}: triple point slipped past validation")
     return best
 

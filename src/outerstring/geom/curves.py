@@ -37,10 +37,12 @@ def pt(x, y) -> Point:
 
 @dataclass(frozen=True)
 class GroundedCurve:
-    """A polyline with its first vertex on the baseline."""
+    """A polyline with its first vertex on the baseline.  ``_contacts`` holds
+    ``curveops.pair_contacts`` results, keyed by the other curve."""
 
     id: str
     vertices: tuple[Point, ...]
+    _contacts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         verts = tuple((as_rational(x), as_rational(y)) for x, y in self.vertices)
@@ -66,10 +68,6 @@ class GroundedCurve:
     def point_at(self, segment: int, t: Fraction) -> Point:
         a, b = self.vertices[segment], self.vertices[segment + 1]
         return segment_point(a, b, t)
-
-    def contains_point(self, p: Point) -> bool:
-        from .segments import on_segment
-        return any(on_segment(p, a, b) for a, b in self.segments())
 
     def __repr__(self):
         return f"GroundedCurve({self.id!r}, {len(self.vertices)} vertices)"
@@ -175,9 +173,11 @@ class CurveFamily:
 
     curves: tuple[GroundedCurve, ...]
     _by_id: dict = field(default_factory=dict, repr=False, compare=False)
+    _pos: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_by_id", {c.id: c for c in self.curves})
+        object.__setattr__(self, "_pos", {c.id: i for i, c in enumerate(self.curves)})
 
     def __iter__(self):
         return iter(self.curves)
@@ -195,10 +195,7 @@ class CurveFamily:
         return tuple(c.id for c in self.curves)
 
     def index(self, cid: str) -> int:
-        for i, c in enumerate(self.curves):
-            if c.id == cid:
-                return i
-        raise KeyError(cid)
+        return self._pos[cid]
 
     def precedes(self, c1: str, c2: str) -> bool:
         """True iff c1 comes before c2 in basepoint order."""

@@ -14,7 +14,8 @@ exterior is the union-find component of the unbounded left slab.
 A single ray-parity test cannot answer this question for curves (they are
 arcs, not cycles: a lone grounded segment encloses nothing, yet a ray may
 cross it an odd number of times), which is why the full decomposition is
-built.  It costs O(m^2 log m) for m obstacle segments and is exact.
+built.  It is exact; each slab and breakpoint line rescans all m obstacle
+segments, and build time on random polylines grows about as m^3.3.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 
-from ..errors import DegenerateProbe
+from ..errors import DegenerateProbe, InternalContradiction
 from .curves import CurveFamily, GroundedCurve
-from .curveops import piece_representatives, split_points_on
-from .segments import PROPER, TOUCH, Point, classify_intersection, on_segment, segment_point
-from .validate import check_pair, find_violations
+from .curveops import pair_contacts, piece_representatives, split_points_on
+from .segments import PROPER, Point, classify_intersection, on_segment, segment_point
+from .validate import find_violations
 
 
 class _UnionFind:
@@ -78,11 +79,9 @@ class FreeSpace:
             for j in range(i + 1, n):
                 c, d = self.segments[j]
                 kind, data = classify_intersection(a, b, c, d)
+                # other contacts are at segment endpoints, already present
                 if kind == PROPER:
                     xs.add(segment_point(a, b, data[0])[0])
-                elif kind == TOUCH:
-                    xs.add(data[0])
-                # overlaps contribute only their endpoints, already present
         self.xs = sorted(xs)
         self.uf = _UnionFind()
 
@@ -214,7 +213,7 @@ class FreeSpace:
                     # half-open bookkeeping: y inside the free interval;
                     # endpoints are obstacle points and were excluded upstream
                     return ("line", k, i)
-            raise AssertionError(f"free point {p} not located on line x={x}")
+            raise InternalContradiction(f"free point {p} not located on line x={x}")
         slab = k - 1
         segs = self.slab_segments[slab]
         gap = 0
@@ -258,10 +257,7 @@ def exterior_membership(G, probe) -> bool:
     if isinstance(probe, GroundedCurve):
         if any(c.id == probe.id for c in curves):
             raise ValueError(f"probe {probe.id!r} is a member of the queried family")
-        violations = []
-        for c in curves:
-            check_pair(probe, c, violations)
-        if find_violations([probe]) or violations:
+        if find_violations([probe]) or any(pair_contacts(probe, c)[1] for c in curves):
             raise DegenerateProbe(
                 f"probe {probe.id!r} violates general position against the family")
         cuts = split_points_on(probe, curves)

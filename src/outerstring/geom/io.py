@@ -1,10 +1,10 @@
 """Family file format.
 
 A family file is a JSON object ``{"curves": [{"id": ..., "vertices": ...}]}``
-where each vertex is a pair ``[x, y]`` and each coordinate is an integer, a
-decimal string such as ``"2.5"``, or a fraction string ``"p/q"``.  Decimal
-strings convert exactly; JSON floats are rejected because they cannot be
-trusted to mean what they say.
+where each id is a string, each vertex a pair ``[x, y]``, and each coordinate
+an integer, a decimal string such as ``"2.5"``, or a fraction string
+``"p/q"``.  Decimal strings convert exactly; JSON floats are rejected because
+they cannot be trusted to mean what they say.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ from .validate import validate_family
 
 
 def _coord_from_json(v) -> Fraction:
-    if isinstance(v, bool):
-        raise ValueError(f"invalid coordinate: {v!r}")
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ValueError(
         f"invalid coordinate {v!r}: use an integer, a decimal string, or 'p/q'")
 
@@ -33,13 +34,25 @@ def _coord_to_json(v: Fraction):
     return f"{v.numerator}/{v.denominator}"
 
 
-def family_from_dict(data) -> CurveFamily:
+def curves_from_dict(data) -> list[GroundedCurve]:
+    """The curves of family file data, in file order, not validated.  A
+    ValueError names the first part that does not fit the format."""
+    if not isinstance(data, dict) or not isinstance(data.get("curves"), list):
+        raise ValueError('a family is an object {"curves": [...]}')
     curves = []
-    for entry in data["curves"]:
-        verts = tuple((_coord_from_json(x), _coord_from_json(y))
-                      for x, y in entry["vertices"])
-        curves.append(GroundedCurve(entry["id"], verts))
-    return validate_family(curves)
+    for k, entry in enumerate(data["curves"]):
+        if not (isinstance(entry, dict) and isinstance(entry.get("id"), str)
+                and isinstance(entry.get("vertices"), (list, tuple))
+                and all(isinstance(v, (list, tuple)) and len(v) == 2
+                        for v in entry["vertices"])):
+            raise ValueError(f"curve {k} needs a string id and a list of [x, y] vertices")
+        curves.append(GroundedCurve(entry["id"], tuple(
+            (_coord_from_json(x), _coord_from_json(y)) for x, y in entry["vertices"])))
+    return curves
+
+
+def family_from_dict(data) -> CurveFamily:
+    return validate_family(curves_from_dict(data))
 
 
 def family_to_dict(fam: CurveFamily) -> dict:

@@ -42,7 +42,6 @@ class JordanRegion:
         # then along the baseline to the start.
         self.polygon: list[Point] = chain_a + list(reversed(chain_b))[1:]
         self.meet: Point = stop_first.point
-        self.base_interval = tuple(sorted((first.basepoint[0], second.basepoint[0])))
         self._check_simple()
 
     def _edges(self):
@@ -67,10 +66,6 @@ class JordanRegion:
                     continue
                 raise InternalContradiction(
                     "region boundary is not a simple closed curve")
-
-    def boundary_arc_edges(self):
-        """Boundary edges excluding the baseline segment (the closing edge)."""
-        return self._edges()[:-1]
 
     def on_boundary(self, p: Point) -> bool:
         return any(on_segment(p, a, b) for a, b in self._edges())

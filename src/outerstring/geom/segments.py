@@ -87,7 +87,3 @@ def classify_intersection(a: Point, b: Point, c: Point, d: Point):
         if on_segment(p, u, v):
             return (TOUCH, p)
     return (NONE, None)
-
-
-def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
-    return classify_intersection(a, b, c, d)[0] == PROPER

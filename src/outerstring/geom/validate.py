@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 from ..errors import (BaselineViolation, DegenerateIntersection,
                       DuplicateBasepoint, FamilyValidationError)
+from .curveops import pair_contacts
 from .curves import CurveFamily, GroundedCurve
-from .segments import PROPER, TOUCH, OVERLAP, classify_intersection, segment_point
+from .segments import OVERLAP
 
 
 @dataclass(frozen=True)
@@ -62,20 +63,20 @@ def check_pair(c1: GroundedCurve, c2: GroundedCurve, out: list[Violation],
     """GP checks between two distinct curves; appends violations to ``out``.
 
     If ``crossing_points`` is a dict, proper crossing coordinates are recorded
-    in it (point -> set of curve ids) for the triple-point check.
+    in it (point -> set of curve ids) for the triple-point check, in
+    segment-pair order.
     """
-    for a, b in c1.segments():
-        for c, d in c2.segments():
-            kind, data = classify_intersection(a, b, c, d)
-            if kind == OVERLAP:
-                out.append(Violation("collinear-overlap", (c1.id, c2.id),
-                                     f"{c1.id} and {c2.id} overlap along a segment"))
-            elif kind == TOUCH:
-                out.append(Violation("vertex-touch", (c1.id, c2.id),
-                                     f"{c1.id} and {c2.id} touch at vertex point {data}"))
-            elif kind == PROPER and crossing_points is not None:
-                p = segment_point(a, b, data[0])
-                crossing_points.setdefault(p, set()).update((c1.id, c2.id))
+    crossings, contacts = pair_contacts(c1, c2)
+    for _, _, kind, data in contacts:
+        if kind == OVERLAP:
+            out.append(Violation("collinear-overlap", (c1.id, c2.id),
+                                 f"{c1.id} and {c2.id} overlap along a segment"))
+        else:
+            out.append(Violation("vertex-touch", (c1.id, c2.id),
+                                 f"{c1.id} and {c2.id} touch at vertex point {data}"))
+    if crossing_points is not None:
+        for p, _ in sorted(crossings, key=lambda h: (h[0].segment, h[1].segment)):
+            crossing_points.setdefault(p.point, set()).update((c1.id, c2.id))
 
 
 def find_violations(curves) -> list[Violation]:

@@ -187,11 +187,6 @@ def is_proper(G: IntersectionGraph, coloring: dict) -> bool:
     return all(coloring[u] != coloring[v] for u, v in G.edges())
 
 
-def between(F: CurveFamily, u: str, v: str) -> CurveFamily:
-    """The subfamily strictly between u and v in basepoint order."""
-    return F.between(u, v)
-
-
 class ChiCache:
     """Memoized chromatic numbers of subfamilies of one root family.
 

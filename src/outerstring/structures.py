@@ -516,7 +516,3 @@ def bracket_from_dict(data, F: CurveFamily) -> Bracket:
 def clique_system_to_dict(cs: CliqueSystem) -> dict:
     return {"cliques": cs.cliques(),
             "sides": [[i, j, side] for (i, j), side in sorted(cs.sides.items())]}
-
-
-def clique_system_from_dict(data, F: CurveFamily) -> CliqueSystem:
-    return validate_clique_system(data["cliques"], F)

@@ -1,13 +1,21 @@
-"""Independent brute-force oracles for the exact solvers.
+"""Independent oracles for the exact solvers and the curve arrangement.
 
-These must stay independent of the library's search code: omega enumerates
-subsets, chi enumerates canonical color assignments with nothing smarter
-than an early edge check.
+The solver oracles must stay independent of the library's search code:
+omega enumerates subsets, chi enumerates canonical color assignments with
+nothing smarter than an early edge check.  The arrangement oracles are the
+per-use segment-pair loops that the one memoized pass in
+``outerstring.geom.curveops`` replaced; they share only the segment
+predicates with the library.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+from outerstring.geom.curves import curve_point
+from outerstring.geom.segments import (OVERLAP, PROPER, TOUCH, classify_intersection,
+                                       segment_point)
+from outerstring.geom.validate import Violation
 
 
 def brute_omega(ids, adj):
@@ -54,3 +62,34 @@ def brute_chi(ids, adj):
         if colorable(k):
             return k
     raise AssertionError("unreachable: n colors always suffice")
+
+
+def reference_check_pair(c1, c2, out, crossing_points=None):
+    """GP checks between two curves, as validation made them: violations in
+    segment-pair order, crossing points recorded in the same order."""
+    for a, b in c1.segments():
+        for c, d in c2.segments():
+            kind, data = classify_intersection(a, b, c, d)
+            if kind == OVERLAP:
+                out.append(Violation("collinear-overlap", (c1.id, c2.id),
+                                     f"{c1.id} and {c2.id} overlap along a segment"))
+            elif kind == TOUCH:
+                out.append(Violation("vertex-touch", (c1.id, c2.id),
+                                     f"{c1.id} and {c2.id} touch at vertex point {data}"))
+            elif kind == PROPER and crossing_points is not None:
+                p = segment_point(a, b, data[0])
+                crossing_points.setdefault(p, set()).update((c1.id, c2.id))
+
+
+def reference_pair_intersections(c1, c2):
+    """Proper crossings of two curves as (point on c1, point on c2), sorted
+    along c1 by a stable sort of the segment-pair order."""
+    hits = []
+    for i, (a, b) in enumerate(c1.segments()):
+        for j, (c, d) in enumerate(c2.segments()):
+            kind, data = classify_intersection(a, b, c, d)
+            if kind == PROPER:
+                t1, t2 = data
+                hits.append((curve_point(c1, i, t1), curve_point(c2, j, t2)))
+    hits.sort(key=lambda h: (h[0].segment, h[0].t))
+    return tuple(hits)

@@ -173,3 +173,41 @@ class TestRender:
         assert result.returncode == 0
         svg = out.read_text()
         assert 'class="support"' in svg and 'class="anchor"' in svg
+
+
+MALFORMED = {
+    "array": [{"id": "u", "vertices": [[0, 0], [1, 1]]}],
+    "three-coords": {"curves": [{"id": "u", "vertices": [[0, 0, 0], [1, 1, 1]]}]},
+    "zero-denominator": {"curves": [{"id": "u", "vertices": [[0, 0], ["1/0", 1]]}]},
+    "integer-id": {"curves": [{"id": 1, "vertices": [[0, 0], [0, 1]]},
+                              {"id": "1", "vertices": [[2, 0], [2, 1]]}]},
+}
+
+
+class TestMalformedInput:
+    """Bad input ends in exit 1 and one line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize("command,name", [
+        (["stats"], "array"),
+        (["extract", "bfs"], "array"),
+        (["stats"], "three-coords"),
+        (["validate"], "three-coords"),
+        (["validate"], "zero-denominator"),
+        (["stats"], "zero-denominator"),
+        (["validate"], "integer-id"),
+        (["stats"], "integer-id"),
+        (["validate"], "missing"),
+        (["stats"], "missing"),
+        (["validate"], "not-utf8"),
+    ])
+    def test_one_line_exit_one(self, tmp_path, command, name):
+        path = tmp_path / f"{name}.json"
+        if name in MALFORMED:
+            path.write_text(json.dumps(MALFORMED[name]))
+        elif name == "not-utf8":
+            path.write_bytes(b"\xff\xfe{}")
+        result = run_cli(*command, str(path))
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stdout == ""

@@ -7,7 +7,7 @@ from oracles import brute_chi, brute_omega
 from outerstring.errors import OrderViolation, UncoveredCurve
 from outerstring.gen import GenSpec, random_grounded_polylines, random_grounded_segments
 from outerstring.geom import curve, validate_family
-from outerstring.graph import (between, chromatic_number, clique_number,
+from outerstring.graph import (chromatic_number, clique_number,
                                intersection_graph, is_proper,
                                piercer_cover_coloring)
 
@@ -71,15 +71,17 @@ class TestSolvers:
 
 
 class TestBetween:
+    """CurveFamily.between, the subfamily strictly between two curves."""
+
     def test_strictly_between(self, abc_family):
-        assert between(abc_family, "a", "c").ids() == ("b",)
-        assert between(abc_family, "a", "b").ids() == ()
+        assert abc_family.between("a", "c").ids() == ("b",)
+        assert abc_family.between("a", "b").ids() == ()
 
     def test_order_violation(self, abc_family):
         with pytest.raises(OrderViolation):
-            between(abc_family, "c", "a")
+            abc_family.between("c", "a")
         with pytest.raises(OrderViolation):
-            between(abc_family, "a", "a")
+            abc_family.between("a", "a")
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_direct_filter(self, seed):
@@ -88,7 +90,7 @@ class TestBetween:
         u, v = ids[1], ids[-2]
         lo, hi = fam[u].base_x, fam[v].base_x
         expect = tuple(c.id for c in fam if lo < c.base_x < hi)
-        assert between(fam, u, v).ids() == expect
+        assert fam.between(u, v).ids() == expect
 
 
 class TestPiercerCover:
