@@ -9,20 +9,45 @@ polyline vertices.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from ..errors import InternalContradiction
 from .curves import (CurvePoint, GroundedCurve, Subcurve, curve_point)
-from .segments import NONE, PROPER, classify_intersection
+from .segments import NONE, PROPER, TOUCH, classify_intersection
+
+
+def _rescaled(segs, k: int):
+    return [((a[0] * k, a[1] * k), (b[0] * k, b[1] * k), x0 * k, x1 * k, y0 * k, y1 * k)
+            for a, b, x0, x1, y0, y1 in segs]
 
 
 def _segment_pass(c1: GroundedCurve, c2: GroundedCurve):
+    """Classify every segment pair of c1 and c2 whose bounding boxes meet,
+    in integers over the two curves' common denominator."""
+    den1, segs1 = c1.scaled_segments()
+    den2, segs2 = c2.scaled_segments()
+    den = lcm(den1, den2)
+    if den != den1:
+        segs1 = _rescaled(segs1, den // den1)
+    if den != den2:
+        segs2 = _rescaled(segs2, den // den2)
     crossings, contacts = [], []
-    for i, (a, b) in enumerate(c1.segments()):
-        for j, (c, d) in enumerate(c2.segments()):
+    for i, (a, b, x0, x1, y0, y1) in enumerate(segs1):
+        for j, (c, d, u0, u1, v0, v1) in enumerate(segs2):
+            if x1 < u0 or u1 < x0 or y1 < v0 or v1 < y0:
+                continue
             kind, data = classify_intersection(a, b, c, d)
             if kind == PROPER:
-                crossings.append((curve_point(c1, i, data[0]), curve_point(c2, j, data[1])))
+                # The crossing a + (b - a) * t1, divided by den, in one step;
+                # t1 and t2 lie in (0, 1), so both positions are canonical.
+                t1, t2 = data
+                p, q = t1.numerator, t1.denominator
+                x = Fraction(a[0] * q + (b[0] - a[0]) * p, den * q)
+                y = Fraction(a[1] * q + (b[1] - a[1]) * p, den * q)
+                crossings.append((CurvePoint(c1.id, i, t1, x, y), CurvePoint(c2.id, j, t2, x, y)))
             elif kind != NONE:
+                if kind == TOUCH:
+                    data = (Fraction(data[0], den), Fraction(data[1], den))
                 contacts.append((i, j, kind, data))
     return crossings, contacts
 
@@ -32,13 +57,12 @@ def pair_contacts(c1: GroundedCurve, c2: GroundedCurve):
     the overlaps and touches ``(segment of c1, segment of c2, kind, touch
     point)`` in segment-pair order, from one pass over the segment pairs.
 
-    Memoized on c1 by c2.  The pass of (c2, c1) is reused reversed, unless a
-    segment has zero length: classify_intersection is not symmetric there.
+    Memoized on c1 by c2; the pass of (c2, c1) is reused reversed.
     """
     found = c1._contacts.get(c2)
     if found is None:
         back = c2._contacts.get(c1)
-        if back is not None and all(a != b for c in (c1, c2) for a, b in c.segments()):
+        if back is not None:
             crossings = [(q, p) for p, q in back[0]]
             contacts = sorted(((j, i, kind, data) for i, j, kind, data in back[1]),
                               key=lambda k: k[:2])

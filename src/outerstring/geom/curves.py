@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
+from math import lcm
 
 from ..errors import OrderViolation
 from .segments import Point, segment_point
@@ -38,15 +39,24 @@ def pt(x, y) -> Point:
 @dataclass(frozen=True)
 class GroundedCurve:
     """A polyline with its first vertex on the baseline.  ``_contacts`` holds
-    ``curveops.pair_contacts`` results, keyed by the other curve."""
+    ``curveops.pair_contacts`` results, keyed by the other curve;
+    ``_free_spaces`` holds the ``exterior`` decompositions of curve tuples
+    that start with this curve."""
 
     id: str
     vertices: tuple[Point, ...]
     _contacts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _free_spaces: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _scaled: tuple = field(default=None, init=False, compare=False, repr=False)
+    _hash: int = field(default=0, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         verts = tuple((as_rational(x), as_rational(y)) for x, y in self.vertices)
         object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "_hash", hash((self.id, verts)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def basepoint(self) -> Point:
@@ -64,6 +74,20 @@ class GroundedCurve:
     @property
     def num_segments(self) -> int:
         return len(self.vertices) - 1
+
+    def scaled_segments(self):
+        """``(den, segs)``: ``den`` is the least common denominator of the
+        coordinates, and ``segs`` holds one ``(a, b, xlo, xhi, ylo, yhi)``
+        per segment, its endpoints and bounding box in integers over ``den``.
+        Computed once."""
+        if self._scaled is None:
+            den = lcm(*(q.denominator for p in self.vertices for q in p))
+            v = [(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+                 for x, y in self.vertices]
+            segs = tuple((a, b, min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
+                         for a, b in zip(v, v[1:]))
+            object.__setattr__(self, "_scaled", (den, segs))
+        return self._scaled
 
     def point_at(self, segment: int, t: Fraction) -> Point:
         a, b = self.vertices[segment], self.vertices[segment + 1]

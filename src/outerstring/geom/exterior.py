@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
 
 from ..errors import DegenerateProbe, InternalContradiction
 from .curves import CurveFamily, GroundedCurve
@@ -229,10 +228,14 @@ class FreeSpace:
         return self.uf.find(self._node_of(p)) == self.uf.find(("side", 0))
 
 
-@lru_cache(maxsize=None)
 def _free_space_for(curves: tuple[GroundedCurve, ...]) -> FreeSpace:
-    segs = [seg for c in curves for seg in c.segments()]
-    return FreeSpace(segs)
+    """The decomposition for a curve tuple, memoized on its first curve, so
+    it is freed with the curves."""
+    memo = curves[0]._free_spaces
+    fs = memo.get(curves)
+    if fs is None:
+        fs = memo[curves] = FreeSpace([seg for c in curves for seg in c.segments()])
+    return fs
 
 
 def _as_curve_tuple(G) -> tuple[GroundedCurve, ...]:

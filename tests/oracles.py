@@ -5,16 +5,19 @@ omega enumerates subsets, chi enumerates canonical color assignments with
 nothing smarter than an early edge check.  The arrangement oracles are the
 per-use segment-pair loops that the one memoized pass in
 ``outerstring.geom.curveops`` replaced; they share only the segment
-predicates with the library.
+predicates with the library.  ``reference_classify_intersection`` is the
+segment-pair predicate as it was before the integer-scaled kernel, kept to
+check the library's predicate against.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 from outerstring.geom.curves import curve_point
-from outerstring.geom.segments import (OVERLAP, PROPER, TOUCH, classify_intersection,
-                                       segment_point)
+from outerstring.geom.segments import (NONE, OVERLAP, PROPER, TOUCH, classify_intersection,
+                                       on_segment, orient, segment_point)
 from outerstring.geom.validate import Violation
 
 
@@ -62,6 +65,42 @@ def brute_chi(ids, adj):
         if colorable(k):
             return k
     raise AssertionError("unreachable: n colors always suffice")
+
+
+def reference_classify_intersection(a, b, c, d):
+    """Classify segments ab and cd: ``(NONE, None)``, ``(PROPER, (t1, t2))``,
+    ``(TOUCH, point)`` or ``(OVERLAP, None)``.  Wrong when a segment has
+    zero length: it then reports a touch wherever the projections meet."""
+    o1 = orient(a, b, c)
+    o2 = orient(a, b, d)
+    o3 = orient(c, d, a)
+    o4 = orient(c, d, b)
+
+    if o1 == 0 and o2 == 0:
+        axis = 0 if (a[0] != b[0] or c[0] != d[0]) else 1
+        lo1, hi1 = sorted((a[axis], b[axis]))
+        lo2, hi2 = sorted((c[axis], d[axis]))
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
+        if lo > hi:
+            return (NONE, None)
+        if lo < hi:
+            return (OVERLAP, None)
+        p = a if a[axis] == lo else b
+        return (TOUCH, p)
+
+    if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
+        rx, ry = b[0] - a[0], b[1] - a[1]
+        sx, sy = d[0] - c[0], d[1] - c[1]
+        denom = rx * sy - ry * sx
+        qpx, qpy = c[0] - a[0], c[1] - a[1]
+        t1 = Fraction(qpx * sy - qpy * sx, 1) / denom
+        t2 = Fraction(qpx * ry - qpy * rx, 1) / denom
+        return (PROPER, (t1, t2))
+
+    for p, (u, v) in ((c, (a, b)), (d, (a, b)), (a, (c, d)), (b, (c, d))):
+        if on_segment(p, u, v):
+            return (TOUCH, p)
+    return (NONE, None)
 
 
 def reference_check_pair(c1, c2, out, crossing_points=None):

@@ -9,8 +9,10 @@ import pytest
 from oracles import reference_check_pair, reference_pair_intersections
 
 from outerstring.gen import GenSpec, generate
-from outerstring.geom import GroundedCurve, curve, curve_intersections, validate_family
+from outerstring.geom import (GroundedCurve, curve, curve_intersections, exterior_membership,
+                              validate_family)
 from outerstring.geom import validate as validate_module
+from outerstring.geom.exterior import _free_space_for
 from outerstring.geom.validate import find_violations
 from outerstring.graph import intersection_graph
 
@@ -77,5 +79,21 @@ def test_memo_freed_with_family():
     assert graph.edges()
     refs = [weakref.ref(c) for c in fam]
     del fam, graph
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_free_space_memo_freed_with_family():
+    """The exterior decomposition is memoized on the queried curves, so it
+    does not keep them, or the family they came from, alive."""
+    fam = validate_family([GroundedCurve("fs-" + c.id, c.vertices)
+                           for c in generated_curves(5)])
+    ids = fam.ids()
+    sub = fam.subfamily(ids[:-1])
+    exterior_membership(sub, fam[ids[-1]])
+    # An equal tuple of the same curves reads the memo.
+    assert _free_space_for(fam.subfamily(ids[:-1]).curves) is _free_space_for(sub.curves)
+    refs = [weakref.ref(c) for c in fam]
+    del fam, sub
     gc.collect()
     assert all(r() is None for r in refs)

@@ -55,6 +55,15 @@ class TestValidateFamily:
                                       curve("b", (0, 0), (1, 2))])
         assert violations and "a" in violations[0].detail or "b" in violations[0].detail
 
+    def test_coinciding_vertices_only_baseline(self):
+        # a's zero-length segment at (0,2) lies above b's horizontal segment,
+        # inside its x-range but off it: no contact, in either curve order.
+        a = curve("a", (0, 0), (0, 2), (0, 2), (0, 3))
+        b = curve("b", (1, 0), (1, 1), (-1, 1))
+        for order in ([a, b], [b, a]):
+            assert [(v.kind, v.curves) for v in find_violations(order)] == [
+                ("baseline", ("a",))]
+
 
 class TestCurveIntersections:
     def test_single_crossing(self, abc_family):
@@ -330,8 +339,8 @@ class TestSegmentsProperty:
         from outerstring.geom import classify_intersection
         a, b = pt(ax, ay), pt(bx, by)
         c, d = pt(cx, cy), pt(dx, dy)
-        if a == b or c == d:
-            return
-        kind1, _ = classify_intersection(a, b, c, d)
-        kind2, _ = classify_intersection(c, d, a, b)
+        kind1, data1 = classify_intersection(a, b, c, d)
+        kind2, data2 = classify_intersection(c, d, a, b)
         assert kind1 == kind2
+        # A crossing's parameters come back in argument order.
+        assert data1 == (data2[::-1] if kind1 == "proper" else data2)
