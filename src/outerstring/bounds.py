@@ -69,9 +69,9 @@ def explicit_chi_bound(k: int) -> int:
 
     Iterates the induction: one color suffices for k = 1 (such families are
     pairwise disjoint), and each step lifts the previous bound xi through the
-    full clique-system construction.  Values for k >= 3 have millions of
-    digits and take correspondingly long; k >= 4 is out of computational
-    reach entirely.
+    full clique-system construction.  k = 3 gives a 461-digit value; k = 4
+    takes about 2 s and gives about 2 million digits (6,647,380 bits);
+    k >= 5 has never been evaluated.
     """
     if k < 1:
         raise ValueError("k >= 1 required")

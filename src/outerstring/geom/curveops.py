@@ -57,7 +57,8 @@ def pair_contacts(c1: GroundedCurve, c2: GroundedCurve):
     the overlaps and touches ``(segment of c1, segment of c2, kind, touch
     point)`` in segment-pair order, from one pass over the segment pairs.
 
-    Memoized on c1 by c2; the pass of (c2, c1) is reused reversed.
+    Memoized on c1 by c2; the pass of (c2, c1) is reused reversed.  A curve's
+    pass with itself has every ordered segment pair, (i, i) included.
     """
     found = c1._contacts.get(c2)
     if found is None:

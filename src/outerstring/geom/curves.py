@@ -39,9 +39,9 @@ def pt(x, y) -> Point:
 @dataclass(frozen=True)
 class GroundedCurve:
     """A polyline with its first vertex on the baseline.  ``_contacts`` holds
-    ``curveops.pair_contacts`` results, keyed by the other curve;
-    ``_free_spaces`` holds the ``exterior`` decompositions of curve tuples
-    that start with this curve."""
+    ``curveops.pair_contacts`` results, keyed by the other curve, and the
+    curve's pass with itself keyed by the curve; ``_free_spaces`` holds the
+    ``exterior`` outer walks of curve tuples that start with this curve."""
 
     id: str
     vertices: tuple[Point, ...]
@@ -238,11 +238,10 @@ class CurveFamily:
 
     def between(self, u: str, v: str) -> "CurveFamily":
         """The subfamily strictly between u and v in basepoint order."""
-        cu, cv = self._by_id[u], self._by_id[v]
-        if u == v or cv.base_x < cu.base_x:
+        i, j = self._pos[u], self._pos[v]
+        if j <= i:
             raise OrderViolation(f"{u!r} must strictly precede {v!r}")
-        return CurveFamily(tuple(
-            c for c in self.curves if cu.base_x < c.base_x < cv.base_x))
+        return CurveFamily(self.curves[i + 1:j])
 
     def bounding_box(self):
         xs = [x for c in self.curves for x, _ in c.vertices]

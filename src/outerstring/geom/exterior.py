@@ -2,257 +2,156 @@
 unbounded arc-connected component of the closed upper halfplane minus the
 union of a family's curves?
 
-The decision is made on an exact vertical-slab decomposition of the free
-space.  Breakpoints are all x-coordinates where the arrangement of obstacle
-segments changes (segment endpoints and pairwise meeting points); between
-consecutive breakpoints the obstacle segments crossing the slab are totally
-ordered by height, and the gaps between them are the cells.  Cells of
-neighbouring slabs are connected exactly when a free point on the shared
-vertical line touches both, which is decided by exact interval overlap.  The
-exterior is the union-find component of the unbounded left slab.
+Every curve starts on a baseline segment B under the family, and nothing
+lies below B, so the exterior is the outer face of the planar graph formed
+by the curves, cut at every contact that ``pair_contacts`` reports (a
+curve's contacts with itself included), and B.  That face is walked once,
+as in the face traversal of a doubly-connected edge list (de Berg et al.,
+*Computational Geometry*, ch. 2), and points are decided by ray parity.
 
-A single ray-parity test cannot answer this question for curves (they are
-arcs, not cycles: a lone grounded segment encloses nothing, yet a ray may
-cross it an odd number of times), which is why the full decomposition is
-built.  It is exact; each slab and breakpoint line rescans all m obstacle
-segments, and build time on random polylines grows about as m^3.3.
+Parity against the bare curves is unsound: they are arcs, not cycles, and a
+lone grounded segment encloses nothing, yet a ray may cross it once.
+Against the walk it is sound: an edge walked twice has the outer face on
+both sides and drops out, every edge left has it on one side only, and an
+upward ray ends in the outer face, so it crosses them an even number of
+times iff it starts there.  A point of B counts as the points just above it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from fractions import Fraction
-
-from ..errors import DegenerateProbe, InternalContradiction
+from ..errors import DegenerateProbe
 from .curves import CurveFamily, GroundedCurve
 from .curveops import pair_contacts, piece_representatives, split_points_on
-from .segments import PROPER, Point, classify_intersection, on_segment, segment_point
+from .segments import TOUCH, Point, on_segment
 from .validate import find_violations
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
+def _segment_cuts(curves):
+    """Per segment of the curves, the points where it meets itself or any
+    of the curves (its own ends included)."""
+    cuts = [[[a, b] for a, b in c.segments()] for c in curves]
+    for i, c1 in enumerate(curves):
+        for j, c2 in enumerate(curves[i:], i):
+            crossings, contacts = pair_contacts(c1, c2)
+            for p, q in crossings:
+                cuts[i][p.segment].append(p.point)
+                cuts[j][q.segment].append(q.point)
+            for s, t, kind, data in contacts:
+                if kind == TOUCH:
+                    cuts[i][s].append(data)
+                    cuts[j][t].append(data)
+                else:  # an overlap: each segment is cut at the other's ends on it
+                    a, b = c1.vertices[s], c1.vertices[s + 1]
+                    u, v = c2.vertices[t], c2.vertices[t + 1]
+                    cuts[i][s].extend(p for p in (u, v) if on_segment(p, a, b))
+                    cuts[j][t].extend(p for p in (a, b) if on_segment(p, u, v))
+    return [cut for per_curve in cuts for cut in per_curve]
 
-    def add(self, x):
-        self.parent.setdefault(x, x)
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        self.add(a)
-        self.add(b)
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+def _angle_key(dx, dy):
+    """Orders nonzero directions counterclockwise from the positive x-axis:
+    the quarter turns that bring them into the first quadrant, then the
+    slope there."""
+    turns = 0
+    while not (dx > 0 and dy >= 0):
+        dx, dy, turns = dy, -dx, turns + 1
+    return (turns, dy / dx)
 
 
-def _seg_y_at(seg, x: Fraction) -> Fraction:
-    (x1, y1), (x2, y2) = seg
-    return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
+def _distinct(values):
+    out = []
+    for v in sorted(values):
+        if not out or v != out[-1]:
+            out.append(v)
+    return out
 
 
 class FreeSpace:
-    """Connectivity structure of the halfplane minus a set of segments."""
+    """The closed walk around the outer face of curves plus a baseline."""
 
-    def __init__(self, segments):
-        self.segments = [tuple(s) for s in segments]
-        self._build()
+    def __init__(self, curves):
+        curves = tuple(curves)
+        if any(not c.vertices or c.vertices[0][1] != 0 or any(y < 0 for _, y in c.vertices)
+               for c in curves):
+            raise ValueError("exterior membership needs curves grounded on the baseline")
+        self.segments = [seg for c in curves for seg in c.segments()]
+        self._walk = []
+        number: dict[Point, int] = {}  # the graph works on point numbers
+        edges = set()
 
-    # -- construction ------------------------------------------------------
+        def link(cut):
+            # Points on one segment sort along it, so the piece of a
+            # collinear overlap is one edge from either segment.
+            ids = [number.setdefault(p, len(number)) for p in _distinct(cut)]
+            edges.update(zip(ids, ids[1:]))
+            return ids
 
-    def _build(self):
-        xs = set()
-        for (x1, _), (x2, _) in self.segments:
-            xs.add(x1)
-            xs.add(x2)
-        n = len(self.segments)
-        for i in range(n):
-            a, b = self.segments[i]
-            for j in range(i + 1, n):
-                c, d = self.segments[j]
-                kind, data = classify_intersection(a, b, c, d)
-                # other contacts are at segment endpoints, already present
-                if kind == PROPER:
-                    xs.add(segment_point(a, b, data[0])[0])
-        self.xs = sorted(xs)
-        self.uf = _UnionFind()
-
-        if not self.xs:
+        for cut in _segment_cuts(curves):
+            link(cut)
+        pts = list(number)
+        self.xs = _distinct(x for x, _ in pts)
+        if not pts:
             return
+        base = link([(self.xs[0] - 1, 0), (self.xs[-1] + 1, 0)] + [p for p in pts if p[1] == 0])
+        pts = list(number)
 
-        # Per-slab sorted crossing segments.  Bounded slab k covers the open
-        # interval (xs[k], xs[k+1]); the two unbounded side slabs are
-        # obstacle-free (single cell each).
-        self.slab_segments = []
-        for k in range(len(self.xs) - 1):
-            lo, hi = self.xs[k], self.xs[k + 1]
-            xm = (lo + hi) / 2
-            crossing = []
-            for seg in self.segments:
-                (x1, _), (x2, _) = seg
-                if min(x1, x2) <= lo and max(x1, x2) >= hi and x1 != x2:
-                    crossing.append(seg)
-            keyed = sorted({_seg_y_at(s, xm): s for s in crossing}.items())
-            self.slab_segments.append([s for _, s in keyed])
+        ring = [[] for _ in pts]
+        for u, v in edges:
+            ring[u].append(v)
+            ring[v].append(u)
+        for v, nbrs in enumerate(ring):
+            x, y = pts[v]
+            nbrs.sort(key=lambda w: _angle_key(pts[w][0] - x, pts[w][1] - y))
 
-        # Free intervals on each breakpoint line.  Obstacle points on the
-        # line x=b come from vertical segments lying on it (an interval) and
-        # from every other segment whose span covers b (a point).
-        self.line_free: list[list[tuple[Fraction, Fraction]]] = []
-        for b in self.xs:
-            blocked = []
-            for (x1, y1), (x2, y2) in self.segments:
-                if x1 == x2 == b:
-                    blocked.append((min(y1, y2), max(y1, y2)))
-                elif min(x1, x2) <= b <= max(x1, x2) and x1 != x2:
-                    y = _seg_y_at(((x1, y1), (x2, y2)), b)
-                    blocked.append((y, y))
-            blocked.sort()
-            merged = []
-            for lo, hi in blocked:
-                if merged and lo <= merged[-1][1]:
-                    merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-                else:
-                    merged.append((lo, hi))
-            free = []
-            cur = Fraction(0)
-            for lo, hi in merged:
-                if lo > cur:
-                    free.append((cur, lo))
-                if hi > cur:
-                    cur = hi
-            free.append((cur, None))  # unbounded top interval
-            self.line_free.append(free)
-
-        self._connect()
-
-    def _cell_limits(self, slab_index: int, x: Fraction):
-        """Vertical intervals of each cell of a bounded slab, evaluated at a
-        boundary line.  Returns a list of (lo, hi) with hi=None for the top
-        cell; the bottom cell starts at 0 (baseline included)."""
-        segs = self.slab_segments[slab_index]
-        ys = [_seg_y_at(s, x) for s in segs]
-        lims = []
-        lo = Fraction(0)
-        for y in ys:
-            lims.append((lo, y))
-            lo = y
-        lims.append((lo, None))
-        return lims
-
-    @staticmethod
-    def _overlaps(cell, free) -> bool:
-        """Positive-length overlap between a cell limit interval and a free
-        interval on the shared line.  Single-point contacts never connect:
-        such a point is always an obstacle point (a segment endpoint or a
-        crossing on the line)."""
-        lo = max(cell[0], free[0])
-        hi_candidates = [v for v in (cell[1], free[1]) if v is not None]
-        if not hi_candidates:
-            return True
-        return lo < min(hi_candidates)
-
-    def _connect(self):
-        uf = self.uf
-        nlines = len(self.xs)
-        # Nodes: ("slab", k, gap) for bounded slabs, ("side", 0|1) for the two
-        # unbounded slabs, ("line", k, i) for free intervals on lines.
-        uf.add(("side", 0))
-        uf.add(("side", 1))
-        for k in range(nlines - 1):
-            for g in range(len(self.slab_segments[k]) + 1):
-                uf.add(("slab", k, g))
-        for k in range(nlines):
-            for i in range(len(self.line_free[k])):
-                uf.add(("line", k, i))
-
-        for k in range(nlines):
-            b = self.xs[k]
-            for i, free in enumerate(self.line_free[k]):
-                node = ("line", k, i)
-                # left side of the line
-                if k == 0:
-                    uf.union(node, ("side", 0))
-                else:
-                    for g, cell in enumerate(self._cell_limits(k - 1, b)):
-                        if self._overlaps(cell, free):
-                            uf.union(node, ("slab", k - 1, g))
-                # right side of the line
-                if k == nlines - 1:
-                    uf.union(node, ("side", 1))
-                else:
-                    for g, cell in enumerate(self._cell_limits(k, b)):
-                        if self._overlaps(cell, free):
-                            uf.union(node, ("slab", k, g))
-
-    # -- queries -----------------------------------------------------------
+        # From the left end of B, keep the outer face on the right: turn to
+        # the next neighbour counterclockwise from the one arrived from.
+        walked = set()
+        start = u, v = base[0], base[1]
+        while True:
+            walked ^= {(min(u, v), max(u, v))}
+            nbrs = ring[v]
+            u, v = v, nbrs[(nbrs.index(u) + 1) % len(nbrs)]
+            if (u, v) == start:
+                break
+        ends = (sorted((pts[a], pts[b])) for a, b in walked)
+        self._walk = [(ax, ay, bx, by) for (ax, ay), (bx, by) in ends if ax != bx]
 
     def on_obstacle(self, p: Point) -> bool:
         return any(on_segment(p, a, b) for a, b in self.segments)
 
-    def _node_of(self, p: Point):
-        x, y = p
-        if not self.xs:
-            return ("side", 0)
-        if x < self.xs[0]:
-            return ("side", 0)
-        if x > self.xs[-1]:
-            return ("side", 1)
-        k = bisect_left(self.xs, x)
-        if k < len(self.xs) and self.xs[k] == x:
-            for i, (lo, hi) in enumerate(self.line_free[k]):
-                if lo <= y and (hi is None or y < hi):
-                    # half-open bookkeeping: y inside the free interval;
-                    # endpoints are obstacle points and were excluded upstream
-                    return ("line", k, i)
-            raise InternalContradiction(f"free point {p} not located on line x={x}")
-        slab = k - 1
-        segs = self.slab_segments[slab]
-        gap = 0
-        for s in segs:
-            if _seg_y_at(s, x) < y:
-                gap += 1
-        return ("slab", slab, gap)
-
     def in_exterior(self, p: Point) -> bool:
-        """True iff p (must be off the obstacles, y >= 0) can reach infinity."""
-        if self.on_obstacle(p):
-            return False
-        return self.uf.find(self._node_of(p)) == self.uf.find(("side", 0))
+        """True iff p (off the obstacles, y >= 0) can reach infinity.  An
+        edge counts on the half-open x-range [ax, bx), so a ray through a
+        vertex counts it once, and a vertical edge never counts."""
+        px, py = p
+        above = 0
+        for ax, ay, bx, by in self._walk:
+            if ax <= px < bx and (by - ay) * (px - ax) > (py - ay) * (bx - ax):
+                above += 1
+        return above % 2 == 0
 
 
 def _free_space_for(curves: tuple[GroundedCurve, ...]) -> FreeSpace:
-    """The decomposition for a curve tuple, memoized on its first curve, so
-    it is freed with the curves."""
+    """The outer walk for a curve tuple, memoized on its first curve, so it
+    is freed with the curves."""
     memo = curves[0]._free_spaces
     fs = memo.get(curves)
     if fs is None:
-        fs = memo[curves] = FreeSpace([seg for c in curves for seg in c.segments()])
+        fs = memo[curves] = FreeSpace(curves)
     return fs
-
-
-def _as_curve_tuple(G) -> tuple[GroundedCurve, ...]:
-    if isinstance(G, CurveFamily):
-        return G.curves
-    return tuple(G)
 
 
 def exterior_membership(G, probe) -> bool:
     """True iff some point of the probe lies in the exterior of G.
 
-    ``G`` is a CurveFamily or iterable of curves; ``probe`` is a point
-    ``(x, y)`` or a GroundedCurve not belonging to G.  A curve probe is split
-    at its intersections with the union of G and each open piece is tested
-    through one interior representative point.
+    ``G`` is a CurveFamily or iterable of grounded curves; ``probe`` is a
+    point ``(x, y)`` or a GroundedCurve not belonging to G.  A curve probe is
+    split at its intersections with the union of G and each open piece is
+    tested through one interior representative point, which is off G: a
+    probe that touches or overlaps G is rejected, and every crossing is a
+    cut.
     """
-    curves = _as_curve_tuple(G)
+    curves = G.curves if isinstance(G, CurveFamily) else tuple(G)
     if not curves:
         return True
     fs = _free_space_for(curves)
@@ -269,4 +168,4 @@ def exterior_membership(G, probe) -> bool:
     x, y = probe
     if y < 0:
         raise ValueError("probe point below the baseline")
-    return fs.in_exterior((x, y))
+    return not fs.on_obstacle((x, y)) and fs.in_exterior((x, y))

@@ -32,11 +32,11 @@ def orient(a: Point, b: Point, c: Point) -> int:
 
 
 def on_segment(p: Point, a: Point, b: Point) -> bool:
-    """True iff p lies on the closed segment ab (collinear and within the box)."""
-    if orient(a, b, p) != 0:
-        return False
+    """True iff p lies on the closed segment ab (within the box and
+    collinear; the box test is the cheaper one, so it goes first)."""
     return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+            and orient(a, b, p) == 0)
 
 
 def segment_point(a: Point, b: Point, t: Fraction) -> Point:

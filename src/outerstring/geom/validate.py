@@ -16,6 +16,7 @@ Self-intersections within a single curve are permitted and not checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from ..errors import (BaselineViolation, DegenerateIntersection,
                       DuplicateBasepoint, FamilyValidationError)
@@ -62,9 +63,9 @@ def check_pair(c1: GroundedCurve, c2: GroundedCurve, out: list[Violation],
                crossing_points=None):
     """GP checks between two distinct curves; appends violations to ``out``.
 
-    If ``crossing_points`` is a dict, proper crossing coordinates are recorded
-    in it (point -> set of curve ids) for the triple-point check, in
-    segment-pair order.
+    If ``crossing_points`` is a dict, proper crossings are recorded in it for
+    the triple-point check, in segment-pair order: curve ids keyed by the
+    point's numerators and denominators, which hash faster than Fractions.
     """
     crossings, contacts = pair_contacts(c1, c2)
     for _, _, kind, data in contacts:
@@ -76,7 +77,8 @@ def check_pair(c1: GroundedCurve, c2: GroundedCurve, out: list[Violation],
                                  f"{c1.id} and {c2.id} touch at vertex point {data}"))
     if crossing_points is not None:
         for p, _ in sorted(crossings, key=lambda h: (h[0].segment, h[1].segment)):
-            crossing_points.setdefault(p.point, set()).update((c1.id, c2.id))
+            key = (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
+            crossing_points.setdefault(key, set()).update((c1.id, c2.id))
 
 
 def find_violations(curves) -> list[Violation]:
@@ -109,8 +111,9 @@ def find_violations(curves) -> list[Violation]:
         for j in range(i + 1, len(curves)):
             check_pair(curves[i], curves[j], out, crossing_points)
 
-    for p, ids in crossing_points.items():
+    for (a, b, c, d), ids in crossing_points.items():
         if len(ids) >= 3:
+            p = (Fraction(a, b), Fraction(c, d))
             out.append(Violation("triple-point", tuple(sorted(ids)),
                                  f"point {p} lies on three curves"))
     return out

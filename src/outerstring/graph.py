@@ -23,9 +23,6 @@ class IntersectionGraph:
     def __len__(self):
         return len(self.ids)
 
-    def degree(self, v: str) -> int:
-        return len(self.adj[v])
-
     def edges(self):
         return [(u, v) for i, u in enumerate(self.ids)
                 for v in self.ids[i + 1:] if v in self.adj[u]]

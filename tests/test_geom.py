@@ -167,7 +167,7 @@ class TestExteriorMembership:
         pts = [pt(x, y) for x in range(-1, 8) for y in ("1/3", "7/3", "9/2")]
         big = nest_family
         small = nest_family.subfamily(["u", "v"])
-        fs_big = FreeSpace([s for c in big for s in c.segments()])
+        fs_big = FreeSpace(big.curves)
         for p in pts:
             if fs_big.on_obstacle(p):
                 continue
