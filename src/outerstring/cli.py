@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import ROUND_FLOOR, Decimal, localcontext
 
 from .bounds import explicit_chi_bound
 from .errors import FamilyValidationError, OuterstringError
@@ -112,14 +113,50 @@ def _cmd_skeleton(args) -> int:
     return 0
 
 
+# explicit_chi_bound(4) takes about 2 s and has 2,001,061 digits; the bound
+# grows as a tower, and no k beyond 4 has ever been evaluated.
+MAX_BOUND_K = 4
+
+
+def _floors(x: Decimal, margin: str) -> tuple[int, int]:
+    """floor(x - margin) and floor(x + margin)."""
+    return tuple(int((x + d).to_integral_value(ROUND_FLOOR))
+                 for d in (-Decimal(margin), Decimal(margin)))
+
+
+def _leading_digits(value: int, width: int = 11) -> tuple[int, str]:
+    """The number of decimal digits of ``value`` (positive) and its first
+    ``width`` digits, without writing it in decimal: ``str`` of an int is
+    quadratic and refused beyond 4,300 digits.
+
+    log10 of the top 256 bits plus the bits shifted out, at 60 digits, is
+    within 1e-40 of log10(value).  Where a digit boundary lies inside that
+    margin, one exact integer comparison or division settles it.
+    """
+    shift = max(value.bit_length() - 256, 0)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        log = Decimal(value >> shift).log10() + shift * Decimal(2).log10()
+        low, high = _floors(log, "1e-40")
+        digits = low + 1 if low == high else high + (value >= 10 ** high)
+        cut = digits - width
+        if cut <= 0:
+            return digits, str(value)
+        low, high = _floors(Decimal(10) ** (log - cut), "1e-20")
+    return digits, str(low if low == high else value // 10 ** cut)
+
+
 def _cmd_bounds(args) -> int:
+    if args.k > MAX_BOUND_K:
+        sys.stderr.write(f"bounds --k {args.k}: refused, k >= 5 is out of reach "
+                         f"(the bound grows as a tower: k = 3 has 461 digits, "
+                         f"k = 4 has 2,001,061)\n")
+        return 1
     value = explicit_chi_bound(args.k)
-    digits = len(str(value))
+    digits, head = _leading_digits(value)
     if digits > 10 ** 6:
-        text = str(value)
-        mantissa = f"{text[0]}.{text[1:11]}"
         _emit({"k": args.k, "digits": digits,
-               "scientific": f"{mantissa}e+{digits - 1}"})
+               "scientific": f"{head[0]}.{head[1:]}e+{digits - 1}"})
     else:
         sys.stdout.write(str(value) + "\n")
     return 0

@@ -182,11 +182,12 @@ def bfs_supported(F: CurveFamily, cache: ChiCache | None = None):
         raise InternalContradiction("no BFS layer at depth >= 1 reaches chi(F)/2")
 
     G = F.subfamily(layers[d])
+    layer = set(layers[d])
     support_map = {}
     for p in layers[d]:
         found = None
         for s in F.ids():
-            if s in set(layers[d]):
+            if s in layer:
                 continue
             if not curves_intersect(F[s], F[p]):
                 continue

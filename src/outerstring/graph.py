@@ -2,6 +2,19 @@
 
 Both solvers return witnesses and are fully deterministic: ties break by
 position in the family order, so identical inputs give identical outputs.
+
+The solvers work on one int adjacency mask per vertex (``_masks``), with
+``int.bit_count`` for set sizes (the bitset style of San Segundo et al.,
+BBMC).  Bron-Kerbosch ties break by position.  The DSATUR greedy coloring
+and the k-coloring search number the vertices by higher degree first, then
+position, and keep the uncolored vertices in one mask per saturation
+level, so the vertex they color next is the lowest bit of the highest
+non-empty level.
+
+``chromatic_number`` colors greedily first, with ub colors, then looks for
+a clique of ub vertices and stops at the first it finds: such a clique
+proves chi = ub.  Only when there is none does it compute the clique
+number omega and try k = omega .. ub - 1.
 """
 
 from __future__ import annotations
@@ -28,10 +41,10 @@ class IntersectionGraph:
                 for v in self.ids[i + 1:] if v in self.adj[u]]
 
     def subgraph(self, ids) -> "IntersectionGraph":
-        keep = [v for v in self.ids if v in set(ids)]
-        kset = set(keep)
+        wanted = set(ids)
+        keep = tuple(v for v in self.ids if v in wanted)
         return IntersectionGraph(
-            tuple(keep), {v: self.adj[v] & kset for v in keep}, self.family)
+            keep, {v: self.adj[v] & wanted for v in keep}, self.family)
 
 
 def intersection_graph(F: CurveFamily) -> IntersectionGraph:
@@ -46,6 +59,65 @@ def intersection_graph(F: CurveFamily) -> IntersectionGraph:
     return IntersectionGraph(ids, {v: frozenset(a) for v, a in adj.items()}, F)
 
 
+def _masks(G: IntersectionGraph, order=None) -> list:
+    """Adjacency as one int per vertex: bit j of ``adj[i]`` is set iff the
+    i-th and j-th vertices of ``order`` (default ``G.ids``) are adjacent."""
+    order = G.ids if order is None else order
+    pos = {v: i for i, v in enumerate(order)}
+    return [sum(1 << pos[u] for u in G.adj[v]) for v in order]
+
+
+def _bits(mask: int):
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _max_clique(adj: list, floor: int = 0) -> list:
+    """Bron-Kerbosch with the Tomita pivot on adjacency masks.
+
+    The pivot maximises ``|N(u) & P|`` over ``P | X``, ties to the lowest
+    position; candidates are visited in ascending position.  With
+    ``floor == 0`` the result is the first maximum clique in that order.
+    With ``floor > 0`` every branch that cannot reach ``floor`` vertices is
+    pruned and the first clique that does is returned, or ``[]``.
+    """
+    best: list = []
+    need = max(floor - 1, 0)            # a clique is kept if it is larger
+    r: list = []
+
+    def expand(p: int, x: int) -> bool:
+        nonlocal best, need
+        if not p and not x:
+            if len(r) > need:
+                best, need = list(r), len(r)
+                return floor > 0
+            return False
+        size = p.bit_count()
+        if len(r) + size <= need:
+            return False
+        top = pivot = -1
+        for u in _bits(p | x):
+            c = (adj[u] & p).bit_count()
+            if c > top:
+                top, pivot = c, u
+                if c == size:           # no vertex has more: later ones tie
+                    break
+        for v in _bits(p & ~adj[pivot]):
+            r.append(v)
+            if expand(p & adj[v], x & adj[v]):
+                return True
+            r.pop()
+            p ^= 1 << v
+            x |= 1 << v
+        return False
+
+    expand((1 << len(adj)) - 1, 0)
+    return best
+
+
 def clique_number(G: IntersectionGraph):
     """Exact maximum clique via Bron-Kerbosch with pivoting.
 
@@ -54,92 +126,127 @@ def clique_number(G: IntersectionGraph):
     """
     if not G.ids:
         return 0, frozenset()
-    order = {v: i for i, v in enumerate(G.ids)}
-    best: list[str] = []
+    best = _max_clique(_masks(G))
+    return len(best), frozenset(G.ids[i] for i in best)
 
-    def expand(r: list, p: set, x: set):
-        nonlocal best
-        if not p and not x:
-            if len(r) > len(best):
-                best = list(r)
-            return
-        if len(r) + len(p) <= len(best):
-            return
-        pivot = min(p | x, key=lambda v: (-len(G.adj[v] & p), order[v]))
-        for v in sorted(p - G.adj[pivot], key=order.get):
-            expand(r + [v], p & G.adj[v], x & G.adj[v])
-            p.remove(v)
-            x.add(v)
 
-    expand([], set(G.ids), set())
-    return len(best), frozenset(best)
+def _dsatur_order(G: IntersectionGraph) -> list:
+    """The ids by DSATUR's static tie-break: higher degree first, then
+    family position."""
+    return sorted(G.ids, key=lambda v: -len(G.adj[v]))
+
+
+def _pick(level: list, top: int):
+    """Take the vertex DSATUR colors next out of ``level``: the lowest one
+    (in ``_dsatur_order``) on the highest non-empty level at or below
+    ``top``.  Returns its level and its bit."""
+    while not level[top]:
+        top -= 1
+    low = level[top] & -level[top]
+    level[top] ^= low
+    return top, low
+
+
+def _raise(level: list, moved: int, top: int) -> None:
+    """Move the vertices of ``moved`` one level up; none is above ``top``."""
+    while moved:
+        m = level[top] & moved
+        if m:
+            level[top] ^= m
+            level[top + 1] |= m
+            moved ^= m
+        top -= 1
+
+
+def _lower(level: list, moved: int) -> None:
+    """Undo ``_raise``: move the vertices of ``moved`` one level down."""
+    s = 1
+    while moved:
+        m = level[s] & moved
+        if m:
+            level[s] ^= m
+            level[s - 1] |= m
+            moved ^= m
+        s += 1
+
+
+def _dsatur(adj: list) -> list:
+    """DSATUR greedy on masks in ``_dsatur_order``: ``(vertex, color)`` in
+    the order colored.
+
+    ``level[s]`` holds the uncolored vertices with s distinct colors on
+    their neighbours, ``near[c]`` the vertices with a neighbour colored c.
+    """
+    level = [0] * (len(adj) + 1)
+    level[0] = pending = (1 << len(adj)) - 1
+    near: list = []
+    out = []
+    while pending:
+        _, bit = _pick(level, len(near))
+        pending ^= bit
+        c = 0
+        while c < len(near) and near[c] & bit:
+            c += 1
+        if c == len(near):
+            near.append(0)
+        v = bit.bit_length() - 1
+        moved = adj[v] & pending & ~near[c]
+        near[c] |= moved
+        _raise(level, moved, len(near) - 1)
+        out.append((v, c))
+    return out
+
+
+def _k_coloring(adj: list, k: int):
+    """Backtracking search for a proper k-coloring on masks in
+    ``_dsatur_order``, DSATUR vertex selection, color symmetry broken by
+    never opening more than one fresh color.  ``(vertex, color)`` in the
+    order colored, or None.  ``level`` and ``near`` are as in ``_dsatur``."""
+    level = [0] * (k + 1)
+    level[0] = (1 << len(adj)) - 1
+    near = [0] * k
+    path = []
+
+    def search(pending: int, used: int) -> bool:
+        if not pending:
+            return True
+        s, bit = _pick(level, used)
+        v = bit.bit_length() - 1
+        pending ^= bit
+        for c in range(min(k, used + 1)):
+            if near[c] & bit:
+                continue
+            moved = adj[v] & pending & ~near[c]
+            near[c] |= moved
+            _raise(level, moved, used)
+            path.append((v, c))
+            if search(pending, max(used, c + 1)):
+                return True
+            path.pop()
+            _lower(level, moved)
+            near[c] ^= moved
+        level[s] |= bit
+        return False
+
+    return path if search((1 << len(adj)) - 1, 0) else None
+
+
+def _by_id(order: list, colored: list) -> dict:
+    """``(vertex, color)`` pairs as a dict keyed by id, in the same order."""
+    return {order[v]: c for v, c in colored}
 
 
 def _greedy_coloring(G: IntersectionGraph):
     """DSATUR greedy: a proper coloring, used only as an upper bound."""
-    order = {v: i for i, v in enumerate(G.ids)}
-    colors: dict = {}
-    neigh_colors = {v: set() for v in G.ids}
-    uncolored = set(G.ids)
-    while uncolored:
-        v = min(uncolored,
-                key=lambda u: (-len(neigh_colors[u]), -len(G.adj[u]), order[u]))
-        c = 0
-        while c in neigh_colors[v]:
-            c += 1
-        colors[v] = c
-        uncolored.remove(v)
-        for u in G.adj[v]:
-            if u in uncolored:
-                neigh_colors[u].add(c)
-    return colors
+    order = _dsatur_order(G)
+    return _by_id(order, _dsatur(_masks(G, order)))
 
 
 def _k_colorable(G: IntersectionGraph, k: int):
-    """Backtracking search for a proper k-coloring, DSATUR vertex selection,
-    color symmetry broken by never opening more than one fresh color."""
-    order = {v: i for i, v in enumerate(G.ids)}
-    colors: dict = {}
-    neigh_colors = {v: set() for v in G.ids}
-
-    def pick():
-        pending = [v for v in G.ids if v not in colors]
-        if not pending:
-            return None
-        return min(pending,
-                   key=lambda u: (-len(neigh_colors[u]), -len(G.adj[u]), order[u]))
-
-    def assign(v, c) -> list:
-        colors[v] = c
-        touched = []
-        for u in G.adj[v]:
-            if u not in colors and c not in neigh_colors[u]:
-                neigh_colors[u].add(c)
-                touched.append(u)
-        return touched
-
-    def undo(v, c, touched):
-        del colors[v]
-        for u in touched:
-            neigh_colors[u].discard(c)
-
-    def search(used: int) -> bool:
-        v = pick()
-        if v is None:
-            return True
-        limit = min(k, used + 1)
-        for c in range(limit):
-            if c in neigh_colors[v]:
-                continue
-            touched = assign(v, c)
-            if search(max(used, c + 1)):
-                return True
-            undo(v, c, touched)
-        return False
-
-    if search(0):
-        return dict(colors)
-    return None
+    """A proper k-coloring keyed by id, or None (see ``_k_coloring``)."""
+    order = _dsatur_order(G)
+    found = _k_coloring(_masks(G, order), k)
+    return None if found is None else _by_id(order, found)
 
 
 def _canonical_colors(G: IntersectionGraph, colors: dict) -> dict:
@@ -155,21 +262,25 @@ def _canonical_colors(G: IntersectionGraph, colors: dict) -> dict:
 def chromatic_number(G: IntersectionGraph):
     """Exact chromatic number with a proper witness using exactly chi colors.
 
-    Clique number gives the lower bound, DSATUR greedy the upper bound, and a
-    branch-and-bound k-colorability search closes the gap from below.
+    DSATUR greedy gives the upper bound ub.  A clique of ub vertices proves
+    chi = ub, and the search for one stops at the first it finds; otherwise
+    the clique number is the lower bound and a branch-and-bound
+    k-colorability search closes the gap from below.
     """
     if not G.ids:
         return 0, {}
-    lb, _ = clique_number(G)
-    greedy = _greedy_coloring(G)
-    ub = max(greedy.values()) + 1
-    if lb == ub:
-        return ub, _canonical_colors(G, greedy)
-    for k in range(lb, ub):
-        witness = _k_colorable(G, k)
-        if witness is not None:
-            return k, _canonical_colors(G, witness)
-    return ub, _canonical_colors(G, greedy)
+    order = _dsatur_order(G)
+    adj = _masks(G, order)
+    greedy = _dsatur(adj)
+    ub = max(c for _, c in greedy) + 1
+    # Only clique sizes are used here, so the clique searches run on the
+    # coloring's masks: vertex order changes their speed, not the sizes.
+    if not _max_clique(adj, ub):
+        for k in range(len(_max_clique(adj)), ub):
+            found = _k_coloring(adj, k)
+            if found is not None:
+                return k, _canonical_colors(G, _by_id(order, found))
+    return ub, _canonical_colors(G, _by_id(order, greedy))
 
 
 def chi(F: CurveFamily) -> int:

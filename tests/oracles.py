@@ -9,7 +9,11 @@ predicates with the library.  ``reference_classify_intersection`` is the
 segment-pair predicate as it was before the integer-scaled kernel, kept to
 check the library's predicate against.  ``SlabFreeSpace`` is the exact
 vertical-slab decomposition that exterior membership was decided on before
-the outer-face walk.
+the outer-face walk.  The ``reference_*`` solvers are the clique, greedy
+coloring, k-coloring and chromatic-number code on sets of ids that the
+position-mask solvers of ``outerstring.graph`` replaced, kept verbatim but
+for their names, so that the new solvers can be required to return the
+same witnesses.
 """
 
 from __future__ import annotations
@@ -336,3 +340,129 @@ class SlabFreeSpace:
         if self.on_obstacle(p):
             return False
         return self.uf.find(self._node_of(p)) == self.uf.find(("side", 0))
+
+
+def reference_clique_number(G):
+    """Exact maximum clique via Bron-Kerbosch with pivoting.
+
+    Returns ``(omega, witness)``; the witness is the first maximum clique in
+    the deterministic search order.
+    """
+    if not G.ids:
+        return 0, frozenset()
+    order = {v: i for i, v in enumerate(G.ids)}
+    best: list[str] = []
+
+    def expand(r: list, p: set, x: set):
+        nonlocal best
+        if not p and not x:
+            if len(r) > len(best):
+                best = list(r)
+            return
+        if len(r) + len(p) <= len(best):
+            return
+        pivot = min(p | x, key=lambda v: (-len(G.adj[v] & p), order[v]))
+        for v in sorted(p - G.adj[pivot], key=order.get):
+            expand(r + [v], p & G.adj[v], x & G.adj[v])
+            p.remove(v)
+            x.add(v)
+
+    expand([], set(G.ids), set())
+    return len(best), frozenset(best)
+
+
+def reference_greedy_coloring(G):
+    """DSATUR greedy: a proper coloring, used only as an upper bound."""
+    order = {v: i for i, v in enumerate(G.ids)}
+    colors: dict = {}
+    neigh_colors = {v: set() for v in G.ids}
+    uncolored = set(G.ids)
+    while uncolored:
+        v = min(uncolored,
+                key=lambda u: (-len(neigh_colors[u]), -len(G.adj[u]), order[u]))
+        c = 0
+        while c in neigh_colors[v]:
+            c += 1
+        colors[v] = c
+        uncolored.remove(v)
+        for u in G.adj[v]:
+            if u in uncolored:
+                neigh_colors[u].add(c)
+    return colors
+
+
+def reference_k_colorable(G, k: int):
+    """Backtracking search for a proper k-coloring, DSATUR vertex selection,
+    color symmetry broken by never opening more than one fresh color."""
+    order = {v: i for i, v in enumerate(G.ids)}
+    colors: dict = {}
+    neigh_colors = {v: set() for v in G.ids}
+
+    def pick():
+        pending = [v for v in G.ids if v not in colors]
+        if not pending:
+            return None
+        return min(pending,
+                   key=lambda u: (-len(neigh_colors[u]), -len(G.adj[u]), order[u]))
+
+    def assign(v, c) -> list:
+        colors[v] = c
+        touched = []
+        for u in G.adj[v]:
+            if u not in colors and c not in neigh_colors[u]:
+                neigh_colors[u].add(c)
+                touched.append(u)
+        return touched
+
+    def undo(v, c, touched):
+        del colors[v]
+        for u in touched:
+            neigh_colors[u].discard(c)
+
+    def search(used: int) -> bool:
+        v = pick()
+        if v is None:
+            return True
+        limit = min(k, used + 1)
+        for c in range(limit):
+            if c in neigh_colors[v]:
+                continue
+            touched = assign(v, c)
+            if search(max(used, c + 1)):
+                return True
+            undo(v, c, touched)
+        return False
+
+    if search(0):
+        return dict(colors)
+    return None
+
+
+def reference_canonical_colors(G, colors: dict) -> dict:
+    """Relabel colors by first appearance in family order."""
+    relabel: dict = {}
+    for v in G.ids:
+        c = colors[v]
+        if c not in relabel:
+            relabel[c] = len(relabel)
+    return {v: relabel[colors[v]] for v in G.ids}
+
+
+def reference_chromatic_number(G):
+    """Exact chromatic number with a proper witness using exactly chi colors.
+
+    Clique number gives the lower bound, DSATUR greedy the upper bound, and a
+    branch-and-bound k-colorability search closes the gap from below.
+    """
+    if not G.ids:
+        return 0, {}
+    lb, _ = reference_clique_number(G)
+    greedy = reference_greedy_coloring(G)
+    ub = max(greedy.values()) + 1
+    if lb == ub:
+        return ub, reference_canonical_colors(G, greedy)
+    for k in range(lb, ub):
+        witness = reference_k_colorable(G, k)
+        if witness is not None:
+            return k, reference_canonical_colors(G, witness)
+    return ub, reference_canonical_colors(G, greedy)

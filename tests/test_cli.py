@@ -85,6 +85,56 @@ class TestBounds:
         result = run_cli("bounds", "--k", "2")
         assert int(result.stdout.strip()) == explicit_chi_bound(2)
 
+    def test_k3_prints_every_digit(self):
+        from outerstring.bounds import explicit_chi_bound
+        result = run_cli("bounds", "--k", "3")
+        assert result.returncode == 0 and result.stderr == ""
+        assert result.stdout == str(explicit_chi_bound(3)) + "\n"
+
+    def test_k4_summary(self):
+        """About two million digits: a JSON summary whose digit count and
+        truncated 11-digit mantissa are exact."""
+        from outerstring.bounds import explicit_chi_bound
+        result = run_cli("bounds", "--k", "4")
+        assert result.returncode == 0 and result.stderr == ""
+        data = json.loads(result.stdout)
+        digits = data["digits"]
+        assert data["k"] == 4 and digits > 10 ** 6
+        value = explicit_chi_bound(4)
+        scale = 10 ** (digits - 11)
+        assert scale * 10 ** 10 <= value < scale * 10 ** 11   # 10**(digits-1) <= value < 10**digits
+        head = str(value // scale)
+        assert data["scientific"] == f"{head[0]}.{head[1:]}e+{digits - 1}"
+
+    def test_k5_refused_before_evaluating(self, monkeypatch, capsys):
+        from outerstring import cli
+
+        def evaluated(k):
+            raise AssertionError(f"explicit_chi_bound({k}) was called")
+
+        monkeypatch.setattr(cli, "explicit_chi_bound", evaluated)
+        assert cli.main(["bounds", "--k", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "refused" in err
+
+    def test_leading_digits_match_decimal_string(self):
+        """Digit count and first 11 digits agree with ``str`` on values next
+        to digit and mantissa boundaries, where the logarithm alone cannot
+        decide, and on random values."""
+        import random
+
+        from outerstring.cli import _leading_digits
+        values = [1, 9, 10, 99999999999, 10 ** 11]
+        for e in (0, 5, 40, 77, 78, 150, 600, 2000):
+            for head in (1, 99999999999, 12345678900):
+                values += [head * 10 ** e - 1, head * 10 ** e, head * 10 ** e + 1]
+            values += [2 ** (4 * e + 1), 2 ** (4 * e + 1) - 1]
+        rng = random.Random(0)
+        values += [rng.getrandbits(rng.randint(1, 12000)) | 1 for _ in range(300)]
+        for value in filter(None, values):
+            text = str(value)
+            assert _leading_digits(value) == (len(text), text[:11]), len(text)
+
 
 class TestExtract:
     def test_mcguinness_report(self, nest_path):
