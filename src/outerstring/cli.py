@@ -166,7 +166,10 @@ def _cmd_generate(args) -> int:
     seed = args.seed
     override = os.environ.get("OUTERSTRING_SEED_OVERRIDE")
     if override is not None:
-        seed = int(override)
+        try:
+            seed = int(override)
+        except ValueError:
+            raise ValueError(f"OUTERSTRING_SEED_OVERRIDE={override!r} is not an integer") from None
     spec = GenSpec(kind=args.kind, n=args.n, bends=args.bends, seed=seed,
                    grid=args.grid)
     fam = generate(spec)
@@ -179,15 +182,21 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _overlay(path, ids, lists):
+    """A ``render`` overlay file: a JSON object with a curve id under each
+    key of ``ids`` and a list of curve ids under each key of ``lists``."""
+    data = _parse(path, json.loads)
+    if not (isinstance(data, dict) and all(isinstance(data.get(k), str) for k in ids)
+            and all(isinstance(data.get(k), list) and all(isinstance(c, str) for c in data[k])
+                    for k in lists)):
+        raise ValueError(f"{path}: an overlay needs the curve ids {', '.join(ids + lists)}")
+    return data
+
+
 def _cmd_render(args) -> int:
     fam = _load(args.family)
-    skeleton = bracket = None
-    if args.skeleton:
-        with open(args.skeleton, "r", encoding="utf-8") as fh:
-            skeleton = json.load(fh)
-    if args.bracket:
-        with open(args.bracket, "r", encoding="utf-8") as fh:
-            bracket = json.load(fh)
+    skeleton = _overlay(args.skeleton, ("u", "v"), ("supports",)) if args.skeleton else None
+    bracket = _overlay(args.bracket, (), ("P", "S")) if args.bracket else None
     text = render_family(fam, highlight=args.highlight or (), skeleton=skeleton,
                          bracket=bracket)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -252,12 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code.  Out-of-range numbers
+    (``ValueError``) and unreadable or unwritable paths (``OSError``) end
+    like the package's own errors: exit 1 and one line on stderr."""
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except OuterstringError as exc:
+    except (OuterstringError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

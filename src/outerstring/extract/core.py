@@ -45,6 +45,8 @@ def mcguinness(F: CurveFamily, alpha: int, beta: int, cache: ChiCache | None = N
     Guarantees chi(H) > alpha and chi(F(u,v)) > beta for every intersecting
     pair u, v in H; both are recomputed before returning.
     """
+    if alpha < 0 or beta < 0:
+        raise ValueError("alpha, beta must be nonnegative")
     cache = cache or ChiCache(F)
     chi_F = cache.chi(F.ids())
     if not chi_F > 2 * alpha * (beta + 1):

@@ -31,6 +31,11 @@ class GenSpec:
             raise ValueError("n >= 1 required")
         if self.bends < 2:
             raise ValueError("bends >= 2 required")
+        # Segments draw basepoints from range(grid), polylines first heights
+        # from range(2, grid + 1).
+        least = {"segments": 1, "polylines": 2}.get(self.kind, 0)
+        if self.grid < least:
+            raise ValueError(f"grid >= {least} required for {self.kind}")
 
 
 _MAX_ROUNDS = 24

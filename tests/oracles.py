@@ -9,7 +9,9 @@ predicates with the library.  ``reference_classify_intersection`` is the
 segment-pair predicate as it was before the integer-scaled kernel, kept to
 check the library's predicate against.  ``SlabFreeSpace`` is the exact
 vertical-slab decomposition that exterior membership was decided on before
-the outer-face walk.  The ``reference_*`` solvers are the clique, greedy
+the outer-face walk, and ``reference_FreeSpace`` is that walk as it was in
+``Fraction`` arithmetic before it moved to integers, kept verbatim but for
+its names.  The ``reference_*`` solvers are the clique, greedy
 coloring, k-coloring and chromatic-number code on sets of ids that the
 position-mask solvers of ``outerstring.graph`` replaced, kept verbatim but
 for their names, so that the new solvers can be required to return the
@@ -24,7 +26,8 @@ from itertools import combinations
 
 from outerstring.errors import InternalContradiction
 from outerstring.geom.curves import curve_point
-from outerstring.geom.segments import (NONE, OVERLAP, PROPER, TOUCH, classify_intersection,
+from outerstring.geom.curveops import pair_contacts
+from outerstring.geom.segments import (NONE, OVERLAP, PROPER, TOUCH, Point, classify_intersection,
                                        on_segment, orient, segment_point)
 from outerstring.geom.validate import Violation
 
@@ -340,6 +343,111 @@ class SlabFreeSpace:
         if self.on_obstacle(p):
             return False
         return self.uf.find(self._node_of(p)) == self.uf.find(("side", 0))
+
+
+def _reference_segment_cuts(curves):
+    """Per segment of the curves, the points where it meets itself or any
+    of the curves (its own ends included)."""
+    cuts = [[[a, b] for a, b in c.segments()] for c in curves]
+    for i, c1 in enumerate(curves):
+        for j, c2 in enumerate(curves[i:], i):
+            crossings, contacts = pair_contacts(c1, c2)
+            for p, q in crossings:
+                cuts[i][p.segment].append(p.point)
+                cuts[j][q.segment].append(q.point)
+            for s, t, kind, data in contacts:
+                if kind == TOUCH:
+                    cuts[i][s].append(data)
+                    cuts[j][t].append(data)
+                else:  # an overlap: each segment is cut at the other's ends on it
+                    a, b = c1.vertices[s], c1.vertices[s + 1]
+                    u, v = c2.vertices[t], c2.vertices[t + 1]
+                    cuts[i][s].extend(p for p in (u, v) if on_segment(p, a, b))
+                    cuts[j][t].extend(p for p in (a, b) if on_segment(p, u, v))
+    return [cut for per_curve in cuts for cut in per_curve]
+
+
+def _reference_angle_key(dx, dy):
+    """Orders nonzero directions counterclockwise from the positive x-axis:
+    the quarter turns that bring them into the first quadrant, then the
+    slope there."""
+    turns = 0
+    while not (dx > 0 and dy >= 0):
+        dx, dy, turns = dy, -dx, turns + 1
+    return (turns, dy / dx)
+
+
+def _reference_distinct(values):
+    out = []
+    for v in sorted(values):
+        if not out or v != out[-1]:
+            out.append(v)
+    return out
+
+
+class reference_FreeSpace:
+    """The closed walk around the outer face of curves plus a baseline."""
+
+    def __init__(self, curves):
+        curves = tuple(curves)
+        if any(not c.vertices or c.vertices[0][1] != 0 or any(y < 0 for _, y in c.vertices)
+               for c in curves):
+            raise ValueError("exterior membership needs curves grounded on the baseline")
+        self.segments = [seg for c in curves for seg in c.segments()]
+        self._walk = []
+        number: dict[Point, int] = {}  # the graph works on point numbers
+        edges = set()
+
+        def link(cut):
+            # Points on one segment sort along it, so the piece of a
+            # collinear overlap is one edge from either segment.
+            ids = [number.setdefault(p, len(number)) for p in _reference_distinct(cut)]
+            edges.update(zip(ids, ids[1:]))
+            return ids
+
+        for cut in _reference_segment_cuts(curves):
+            link(cut)
+        pts = list(number)
+        self.xs = _reference_distinct(x for x, _ in pts)
+        if not pts:
+            return
+        base = link([(self.xs[0] - 1, 0), (self.xs[-1] + 1, 0)] + [p for p in pts if p[1] == 0])
+        pts = list(number)
+
+        ring = [[] for _ in pts]
+        for u, v in edges:
+            ring[u].append(v)
+            ring[v].append(u)
+        for v, nbrs in enumerate(ring):
+            x, y = pts[v]
+            nbrs.sort(key=lambda w: _reference_angle_key(pts[w][0] - x, pts[w][1] - y))
+
+        # From the left end of B, keep the outer face on the right: turn to
+        # the next neighbour counterclockwise from the one arrived from.
+        walked = set()
+        start = u, v = base[0], base[1]
+        while True:
+            walked ^= {(min(u, v), max(u, v))}
+            nbrs = ring[v]
+            u, v = v, nbrs[(nbrs.index(u) + 1) % len(nbrs)]
+            if (u, v) == start:
+                break
+        ends = (sorted((pts[a], pts[b])) for a, b in walked)
+        self._walk = [(ax, ay, bx, by) for (ax, ay), (bx, by) in ends if ax != bx]
+
+    def on_obstacle(self, p: Point) -> bool:
+        return any(on_segment(p, a, b) for a, b in self.segments)
+
+    def in_exterior(self, p: Point) -> bool:
+        """True iff p (off the obstacles, y >= 0) can reach infinity.  An
+        edge counts on the half-open x-range [ax, bx), so a ray through a
+        vertex counts it once, and a vertical edge never counts."""
+        px, py = p
+        above = 0
+        for ax, ay, bx, by in self._walk:
+            if ax <= px < bx and (by - ay) * (px - ax) > (py - ay) * (bx - ax):
+                above += 1
+        return above % 2 == 0
 
 
 def reference_clique_number(G):

@@ -1,11 +1,20 @@
 """Command-line interface: subcommand behaviour, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from outerstring import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -261,3 +270,128 @@ class TestMalformedInput:
         assert "Traceback" not in result.stderr
         assert len(result.stderr.splitlines()) == 1
         assert result.stdout == ""
+
+
+# One case per out-of-range number or bad path; ``{family}`` is a valid
+# family file and ``{tmp}`` an empty directory.
+OUT_OF_RANGE = {
+    "bounds-k-0": (["bounds", "--k", "0"], None),
+    "generate-n-0": (["generate", "--n", "0"], None),
+    "generate-bends-1": (["generate", "--bends", "1"], None),
+    "generate-grid-0": (["generate", "--grid", "0"], None),
+    "generate-grid-negative": (["generate", "--grid", "-3"], None),
+    "polylines-grid-1": (["generate", "--kind", "polylines", "--grid", "1"], None),
+    "clique-system-t-0": (["extract", "clique-system", "{family}", "--t", "0"], None),
+    "clique-system-n-negative": (["extract", "clique-system", "{family}", "--n", "-1"], None),
+    "bracket-system-k-negative": (["extract", "bracket-system", "{family}", "--k", "-1"], None),
+    "mcguinness-alpha-negative": (["extract", "mcguinness", "{family}", "--alpha", "-1"], None),
+    "render-skeleton-missing": (["render", "{family}", "--out", "{tmp}/a.svg",
+                                 "--skeleton", "{tmp}/missing.json"], None),
+    "render-bracket-missing": (["render", "{family}", "--out", "{tmp}/a.svg",
+                                "--bracket", "{tmp}/missing.json"], None),
+    "render-skeleton-not-a-skeleton": (["render", "{family}", "--out", "{tmp}/a.svg",
+                                        "--skeleton", "{family}"], None),
+    "render-bracket-not-a-bracket": (["render", "{family}", "--out", "{tmp}/a.svg",
+                                      "--bracket", "{family}"], None),
+    "render-out-missing-dir": (["render", "{family}", "--out", "{tmp}/missing/a.svg"], None),
+    "generate-out-missing-dir": (["generate", "--out", "{tmp}/missing/a.json"], None),
+    "seed-override-not-integer": (["generate"], "abc"),
+}
+
+
+class TestOutOfRange:
+    """Out-of-range numbers and bad paths end in exit 1 and one line on
+    stderr, never a traceback."""
+
+    @pytest.mark.parametrize("name", OUT_OF_RANGE)
+    def test_one_line_exit_one(self, nest_path, tmp_path, name):
+        args, override = OUT_OF_RANGE[name]
+        env = dict(os.environ)
+        env.pop("OUTERSTRING_SEED_OVERRIDE", None)
+        if override is not None:
+            env["OUTERSTRING_SEED_OVERRIDE"] = override
+        result = run_cli(*(a.format(family=nest_path, tmp=tmp_path) for a in args), env=env)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stdout == ""
+
+
+small = st.integers(min_value=-3, max_value=6)
+coordinate = st.one_of(small, st.sampled_from(["1/2", "7/3", "2.5", "1/0", "x", ""]),
+                       st.none(), st.booleans(), st.just(0.5))
+family_text = st.one_of(
+    st.sampled_from([json.dumps(NEST), json.dumps(BAD_FAMILY), "{", "", "[]", "null",
+                     *(json.dumps(v) for v in MALFORMED.values())]),
+    st.fixed_dictionaries({"curves": st.lists(st.fixed_dictionaries({
+        "id": st.one_of(st.sampled_from("abcd"), st.integers(0, 3)),
+        "vertices": st.lists(st.lists(coordinate, min_size=1, max_size=3), max_size=4),
+    }), max_size=4)}).map(json.dumps),
+    st.text(max_size=12),
+)
+
+
+def flags(draw, names, values=small):
+    """Some of the named integer flags, each with a drawn value; now and then
+    a value that is not an integer at all."""
+    out = []
+    for name in draw(st.lists(st.sampled_from(names), unique=True)):
+        out += [name, draw(st.one_of(values.map(str), st.sampled_from(["x", "", "1.5"])))]
+    return out
+
+
+@st.composite
+def command_lines(draw):
+    """An argument list for one command; ``{family}``, ``{side}`` and ``{out}``
+    stand for files the test writes or leaves missing."""
+    command = draw(st.sampled_from(["validate", "stats", "extract", "skeleton", "bounds",
+                                    "generate", "render", "garbage"]))
+    if command == "garbage":
+        return draw(st.lists(st.one_of(st.sampled_from(["--k", "--n", "-h", "extract", "{family}"]),
+                                       st.text(max_size=4)), max_size=4))
+    if command == "bounds":  # k >= 4 takes seconds and is tested on its own
+        return ["bounds"] + flags(draw, ["--k"], st.integers(max_value=3))
+    if command == "generate":
+        return ["generate", "--kind", draw(st.sampled_from(["segments", "polylines"]))] + flags(
+            draw, ["--n", "--bends", "--grid", "--seed"]) + draw(st.sampled_from([[], ["--out", "{out}"]]))
+    if command == "extract":
+        procedure = draw(st.sampled_from(["mcguinness", "bfs", "bracket-system", "clique-system"]))
+        return ["extract", procedure, "{family}"] + flags(
+            draw, ["--alpha", "--beta", "--k", "--xi", "--t", "--n", "--gamma"])
+    if command == "skeleton":
+        return ["skeleton", "{family}"] + flags(draw, ["--alpha"])
+    if command == "render":
+        extra = draw(st.lists(st.sampled_from([["--skeleton", "{side}"], ["--bracket", "{side}"],
+                                               ["--highlight", "a", "u"]]), max_size=2))
+        return ["render", "{family}", "--out", "{out}"] + [a for e in extra for a in e]
+    return [command, "{family}"]
+
+
+def fill(arg, paths):
+    for name, path in paths.items():
+        arg = arg.replace("{%s}" % name, path)
+    return arg
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(argv=command_lines(), text=family_text, side=family_text,
+       override=st.one_of(st.none(), st.sampled_from(["7", "-1", "abc", ""])),
+       missing=st.booleans())
+def test_main_returns_an_exit_code(argv, text, side, override, missing):
+    """``cli.main`` on drawn flag values and family files, well formed or
+    not, returns 0, 1 or 2 and raises nothing; exit 1 writes at most one
+    line on stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"family": f"{tmp}/family.json", "side": f"{tmp}/side.json",
+                 "out": f"{tmp}/missing/out" if missing else f"{tmp}/out"}
+        Path(paths["family"]).write_text(text, encoding="utf-8")
+        Path(paths["side"]).write_text(side, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            os.environ.pop("OUTERSTRING_SEED_OVERRIDE", None)
+            if override is not None:
+                os.environ["OUTERSTRING_SEED_OVERRIDE"] = override
+            code = cli.main([fill(a, paths) for a in argv])
+    assert code in (0, 1, 2)
+    assert code != 1 or len(err.getvalue().splitlines()) <= 1, err.getvalue()

@@ -1,10 +1,13 @@
-"""The first cycle of the benchmark's ``coloring`` and ``arrangement``
-workloads reproduces the frozen answer digests of ``perfbench/digests.json``.
+"""The benchmark's workloads reproduce the frozen answer digests of
+``perfbench/digests.json``: the first cycle of ``coloring`` and
+``arrangement``, and every cycle of ``extraction`` that has digests.
 
-The digests cover every witness (cliques, colorings, crossings), so a solver
-change that alters a tie-break fails here, not only in a benchmark run.
-Cycle 1 is used because cycle 0 of ``coloring`` adds a family on which the
-chi search does not finish.  The benchmark modules are imported read-only.
+The digests cover every witness (cliques, colorings, crossings) and every
+extraction report, so a solver change that alters a tie-break, or an
+exterior-membership change that flips one verdict, fails here, not only in
+a benchmark run.  Cycle 1 is used for the first two because cycle 0 of
+``coloring`` adds a family on which the chi search does not finish.  The
+benchmark modules are imported read-only.
 """
 
 import importlib
@@ -45,3 +48,17 @@ def test_cycle_matches_frozen_digests(name, count, tmp_path):
     for req in requests:
         answer, _ = req.check(req.run())
         assert run.digest_of(answer, req.tag) == FROZEN[name][req.key], req.key
+
+
+def test_extraction_cycles_match_frozen_digests(tmp_path):
+    """Cycles 0-9 of ``extraction`` at seed 0, in one session as the
+    benchmark runs them, so that the curve caches are warm as there."""
+    wl = workloads.WORKLOADS["extraction"](0, tmp_path)
+    wl.setup_run()
+    keys = set()
+    for cycle in range(10):
+        for req in wl.requests(wl.inputs(cycle), cycle, f"r{cycle}_"):
+            answer, _ = req.check(req.run())
+            assert run.digest_of(answer, req.tag) == FROZEN["extraction"][req.key], req.key
+            keys.add(req.key)
+    assert keys == set(FROZEN["extraction"])

@@ -1,10 +1,12 @@
 """Exterior membership by the outer-face walk, checked against the slab
-decomposition it replaced, on point probes and on curve probes."""
+decomposition it replaced, on point probes and on curve probes, and against
+the same walk in ``Fraction`` arithmetic, edge for edge."""
 
+import random
 from fractions import Fraction
 
 import pytest
-from oracles import SlabFreeSpace
+from oracles import SlabFreeSpace, reference_FreeSpace
 from test_contacts import generated_curves, grid_curves
 
 from outerstring.gen import GenSpec, generate
@@ -80,6 +82,80 @@ def test_matches_slab_decomposition(kind, seed):
     if len(curves) <= 8 and not find_violations(curves):
         for cid, answer, want in curve_probe_answers(curves):
             assert answer == want, cid
+
+
+def mixed_curves(seed: int):
+    """Grid curves whose coordinates have denominators 3, 7 and 11, mixed
+    within one curve, so that the walk's edges carry different scales."""
+    rng = random.Random(seed)
+
+    def q(lo, hi):
+        d = rng.choice((3, 7, 11))
+        return Fraction(rng.randrange(lo * d, hi * d), d)
+
+    return [curve(f"m{i}", (q(0, 6), 0), *((q(0, 6), q(1, 5)) for _ in range(rng.randrange(1, 4))))
+            for i in range(rng.randrange(3, 7))]
+
+
+# Hand-made families: folds back along one segment, so that a curve's pass
+# with itself has an overlap of two different segments, with the fold's end
+# dangling ("fold", "fold-crossed") or joined ("fold-inside"); and
+# zero-length segments at a basepoint, on a crossing and at a curve's end.
+SPECIAL = {
+    "fold": [curve("f", (0, 0), (4, 4), (2, 2))],
+    "fold-crossed": [curve("f", (0, 0), (4, 4), (2, 2)), curve("g", (3, 0), (3, 5))],
+    "fold-inside": [curve("f", (0, 0), (1, 3), (5, 3), (2, 3), (2, 1), (4, 1)),
+                    curve("g", (6, 0), (6, 4), (3, 4), (3, 2))],
+    "zero-length": [curve("z", (1, 0), (1, 0), (1, 2)), curve("y", (0, 0), (2, 2), (2, 2), (3, 1)),
+                    curve("x", (3, 0), (0, 3), (0, 3)), curve("w", (2, 0), (1, 1), (1, 1), (1, 3))],
+}
+WALK_FAMILIES = FAMILIES + [("mixed", seed) for seed in range(40)] + [(name, 0) for name in SPECIAL]
+
+
+def make_family(kind, seed):
+    if kind in SPECIAL:
+        return SPECIAL[kind]
+    return mixed_curves(seed) if kind == "mixed" else MAKERS[kind](seed)
+
+
+def walked_edges(fs):
+    """The walk's edges that are not vertical, as ``(ax, ay, bx, by)``."""
+    return {tuple(Fraction(v, e[4]) for v in e[:4]) for e in fs._walk}
+
+
+def vertex_probes(walk):
+    """Points straight above and below the walk's vertices, at their exact
+    x, where the half-open rule decides, and points a tiny step of large
+    denominator beside them; thinned like ``probe_points``."""
+    xs = sorted({x for ax, _, bx, _ in walk for x in (ax, bx)})
+    ys = sorted({y for _, ay, _, by in walk for y in (ay, by)})
+    heights = ys + [(a + b) / 2 for a, b in zip(ys, ys[1:])] + [ys[-1] + 1] if ys else []
+    k = max(1, len(xs) * len(heights) // PROBES)
+    tiny = Fraction(1, 10 ** 30 + 57)
+    return [(x + dx, y + dy) for i, x in enumerate(xs) for j, y in enumerate(heights) if (i + j) % k == 0
+            for dx, dy in ((0, 0), (0, tiny), (tiny, 0), (-tiny, tiny)) if y + dy >= 0]
+
+
+@pytest.mark.parametrize("kind,seed", WALK_FAMILIES)
+def test_matches_fraction_walk(kind, seed):
+    """The integer walk walks the same edges as the ``Fraction`` one, has the
+    same breakpoints, and answers every point the same, on the obstacles
+    too, where both count the same edges."""
+    curves = make_family(kind, seed)
+    fs, ref = FreeSpace(curves), reference_FreeSpace(curves)
+    assert walked_edges(fs) == set(ref._walk)
+    assert fs.xs == ref.xs
+    points = probe_points(curves) + vertex_probes(ref._walk)
+    assert [fs.in_exterior(p) for p in points] == [ref.in_exterior(p) for p in points]
+
+
+def test_fold_back_is_cut():
+    """Only the overlap of f's two segments cuts the first one at the fold's
+    dangling end (2, 2); the walk round the triangle under f and left of g
+    must turn there."""
+    fs = FreeSpace(SPECIAL["fold-crossed"])
+    assert walked_edges(fs) == {(0, 0, 2, 2), (2, 2, 3, 3), (0, 0, 3, 0)}
+    assert fs.in_exterior(pt(2, 1)) is False and fs.in_exterior(pt(1, 2)) is True
 
 
 def test_probes_see_both_answers():

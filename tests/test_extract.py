@@ -52,6 +52,14 @@ class TestMcGuinness:
         with pytest.raises(PreconditionFailure):
             mcguinness(F, 1, 0)
 
+    @pytest.mark.parametrize("alpha,beta", [(-1, 0), (0, -1)])
+    def test_negative_parameters_rejected(self, nest_family, alpha, beta):
+        # On the empty family alpha = -1 used to pass the precondition and
+        # fail on an empty block list.
+        for F in (nest_family, validate_family([])):
+            with pytest.raises(ValueError):
+                mcguinness(F, alpha, beta)
+
     @pytest.mark.parametrize("seed", range(25))
     def test_random_suite(self, seed):
         F = corpus(seed)

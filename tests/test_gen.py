@@ -2,7 +2,7 @@
 
 import pytest
 
-from outerstring.gen import (GenSpec, figure_fixture, random_grounded_polylines,
+from outerstring.gen import (GenSpec, figure_fixture, generate, random_grounded_polylines,
                              random_grounded_segments)
 from outerstring.geom import find_violations
 
@@ -43,6 +43,18 @@ class TestRandomPolylines:
     def test_bend_budget_respected(self):
         fam = random_grounded_polylines(GenSpec(kind="polylines", n=9, seed=1, bends=3))
         assert all(len(c.vertices) <= 3 for c in fam)
+
+
+class TestSpecRanges:
+    @pytest.mark.parametrize("kind,grid", [("segments", 0), ("segments", -3), ("polylines", 1)])
+    def test_grid_too_small_rejected(self, kind, grid):
+        with pytest.raises(ValueError, match="grid"):
+            GenSpec(kind=kind, grid=grid)
+
+    @pytest.mark.parametrize("kind,grid", [("segments", 1), ("polylines", 2)])
+    def test_smallest_grid_generates(self, kind, grid):
+        fam = generate(GenSpec(kind=kind, n=2, grid=grid, seed=0))
+        assert not find_violations(list(fam))
 
 
 class TestFigureFixtures:
